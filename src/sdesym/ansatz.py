@@ -35,7 +35,8 @@ from .expr import (
     add,
     const,
     diff,
-    evaluate,
+    evaluate_points,
+    finite_points,
     mul,
     param,
     parameters_of,
@@ -51,6 +52,10 @@ COEFF_PREFIX = "_c"
 
 class AnsatzError(ValueError):
     pass
+
+
+class NonAffineError(AnsatzError):
+    """A residual is not affine in the unknown coefficients."""
 
 
 @dataclass(frozen=True)
@@ -107,33 +112,20 @@ def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
                   reject=(), params=None, max_draws: int = 50) -> list:
     """Quasi-random (Halton) points in the window, rejecting singular loci.
 
-    A point is rejected when any expression in `reject` fails to evaluate
-    there or evaluates non-finite.
+    A point is rejected when any expression in `reject` evaluates
+    non-finite there (a domain error included).
     """
     t0, t1, x0, x1 = window
-    env = dict(params or {})
     halton = qmc.Halton(d=2, scramble=True, seed=seed)
     points = []
     for _ in range(max_draws):
         block = halton.random(max(n, 8))
-        for u, w in block:
-            t = t0 + (t1 - t0) * u
-            x = x0 + (x1 - x0) * w
-            env["t"], env["x"] = t, x
-            ok = True
-            for e in reject:
-                try:
-                    val = evaluate(e, env)
-                except EvalError:
-                    ok = False
-                    break
-                if not math.isfinite(val):
-                    ok = False
-                    break
-            if ok:
-                points.append((t, x))
-                if len(points) == n:
-                    return points
+        block = np.column_stack([t0 + (t1 - t0) * block[:, 0],
+                                 x0 + (x1 - x0) * block[:, 1]])
+        ok = np.all(np.isfinite(evaluate_points(reject, block, params)), axis=1)
+        points.extend(map(tuple, block[ok].tolist()))
+        if len(points) >= n:
+            return points[:n]
     raise AnsatzError(
         f"could not sample {n} admissible points in window {window}")
 
@@ -148,69 +140,49 @@ def _singularity_guards(sde: Sde) -> list:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def _cancellation_scale(res: Expr, env) -> float:
-    """Sum of |term| over the top-level sum: the magnitude that cancels when
-    the residual evaluates to ~0, used as a roundoff-noise witness."""
-    if res.kind == "sum":
-        return sum(abs(evaluate(c, env)) for c in res.children)
-    return abs(evaluate(res, env))
-
-
-def build_linear_system(ds: DeterminingSystem, points, params,
-                        check_affine: bool = True):
+def build_linear_system(ds: DeterminingSystem, points, params):
     """Evaluate residuals at sample points; return (M, b) with rows
     M @ c + b = residual values stacked over (point, residual).
 
-    Entries within roundoff of an exact cancellation are snapped to zero.
-    Raises when a residual is not affine in the unknowns or a point hits an
-    evaluation domain error.
+    Each residual is compiled once with the unknowns as extra arguments and
+    evaluated at every point with the unknowns set to 0 (giving b), to each
+    unit vector e_j (giving column j of M) and to a random probe (checking
+    that the residual is affine).  Entries within 1e-12 of the sum of
+    |top-level terms|, the magnitude that cancels, are snapped to zero.
+    Raises NonAffineError when a residual is not affine in the unknowns and
+    AnsatzError when a point hits an evaluation domain error.
     """
-    names = list(ds.unknowns)
+    names = tuple(ds.unknowns)
     n = len(names)
     rows = len(points) * len(ds.residuals)
-    M = np.zeros((rows, n))
-    b = np.zeros(rows)
     if n and rows < 3 * n:
         raise AnsatzError(
             f"need at least {3*n} rows for {n} unknowns, got {rows}; add sample points")
-    rng = np.random.default_rng(7)
-    probe = rng.uniform(-1.0, 1.0, size=n)
-    r = 0
-    for (t, x) in points:
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        for res in ds.residuals:
-            for nm in names:
-                env[nm] = 0.0
-            try:
-                base = evaluate(res, env)
-                if abs(base) <= 1e-12 * max(1.0, _cancellation_scale(res, env)):
-                    base = 0.0
-                for j, nm in enumerate(names):
-                    env[nm] = 1.0
-                    val = evaluate(res, env) - base
-                    if abs(val) <= 1e-12 * max(1.0, _cancellation_scale(res, env)):
-                        val = 0.0
-                    M[r, j] = val
-                    env[nm] = 0.0
-                b[r] = base
-                combined = None
-                if check_affine and n:
-                    for j, nm in enumerate(names):
-                        env[nm] = probe[j]
-                    combined = evaluate(res, env)
-            except EvalError as err:
-                raise AnsatzError(
-                    f"evaluation failed at point (t={t}, x={x}): {err}") from None
-            if combined is not None:
-                predicted = base + M[r] @ probe
-                scale = max(1.0, abs(base), float(np.max(np.abs(M[r]), initial=0.0)))
-                if abs(combined - predicted) > 1e-6 * scale:
-                    raise AnsatzError(
-                        "non-affine residual detected: a quadratic coefficient term survives")
-            if not np.all(np.isfinite(M[r])) or not math.isfinite(b[r]):
-                raise AnsatzError(f"non-finite matrix entry at point (t={t}, x={x})")
-            r += 1
+    probe = np.random.default_rng(7).uniform(-1.0, 1.0, size=n)
+    settings = np.vstack([np.zeros(n), np.eye(n), probe])
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    grid = np.hstack([np.repeat(pts, n + 2, axis=0),
+                      np.tile(settings, (len(pts), 1))])
+    terms = [res.children if res.kind == "sum" else (res,) for res in ds.residuals]
+    try:
+        V = finite_points([c for ts in terms for c in ts], grid, params, names)
+    except EvalError as err:
+        raise AnsatzError(str(err)) from None
+    V = V.reshape(len(pts), n + 2, -1)
+    starts = np.cumsum([0, *map(len, terms)])[:-1]
+    value = np.add.reduceat(V, starts, axis=-1)
+    tiny = 1e-12 * np.maximum(1.0, np.add.reduceat(np.abs(V), starts, axis=-1))
+    base = np.where(np.abs(value[:, 0]) <= tiny[:, 0], 0.0, value[:, 0])
+    cols = value[:, 1: n + 1] - base[:, None]
+    cols = np.where(np.abs(cols) <= tiny[:, 1: n + 1], 0.0, cols)
+    M = cols.transpose(0, 2, 1).reshape(rows, n)
+    b = base.reshape(rows)
+    defect = np.abs(value[:, -1].reshape(rows) - (b + M @ probe))
+    bound = 1e-6 * np.maximum(np.maximum(1.0, np.abs(b)),
+                              np.max(np.abs(M), axis=1, initial=0.0))
+    if n and np.any(defect > bound):
+        raise NonAffineError(
+            "non-affine residual detected: a quadratic coefficient term survives")
     return M, b
 
 
@@ -317,41 +289,30 @@ def _linear_combo(names, basis_fns) -> Expr:
     return add(*[mul(param(nm), fn) for nm, fn in zip(names, basis_fns)])
 
 
+def _max_abs(values, axis=None):
+    """Largest magnitude, infinite where any value is non-finite, so that
+    a failed evaluation can never pass a `<= tol` gate."""
+    mags = np.where(np.isfinite(values), np.abs(values), np.inf)
+    return np.max(mags, axis=axis, initial=0.0)
+
+
 def _check_dictionary_independence(fns, points, params, label):
     if len(fns) < 2:
         return
-    G = np.zeros((len(points), len(fns)))
-    for i, (t, x) in enumerate(points):
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        for j, fn in enumerate(fns):
-            G[i, j] = evaluate(fn, env)
-    s = np.linalg.svd(G, compute_uv=False)
+    s = np.linalg.svd(finite_points(fns, points, params), compute_uv=False)
     if s[0] == 0 or s[-1] < 1e-9 * s[0]:
         raise AnsatzError(f"{label} dictionary entries are numerically linearly dependent")
 
 
 def _field_features(v: VectorField, points, params) -> np.ndarray:
-    out = np.zeros(3 * len(points))
-    for i, (t, x) in enumerate(points):
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        out[3 * i] = evaluate(v.tau, env)
-        out[3 * i + 1] = evaluate(v.phi, env)
-        out[3 * i + 2] = evaluate(v.phitilde, env)
-    return out
+    return finite_points((v.tau, v.phi, v.phitilde), points, params).reshape(-1)
 
 
 def max_residual(sde: Sde, v: VectorField, mode: str, points, params) -> float:
-    """Max |residual| of the full determining system for a concrete field."""
+    """Max |residual| of the full determining system for a concrete field
+    (inf when a residual is non-finite at some point)."""
     system = build_system(sde, v, mode)
-    worst = 0.0
-    for (t, x) in points:
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        for res in system.residuals:
-            worst = max(worst, abs(evaluate(res, env)))
-    return worst
+    return float(_max_abs(evaluate_points(system.residuals, points, params)))
 
 
 def express_in_basis(generators, target: VectorField, points, params):
@@ -376,17 +337,7 @@ def express_in_basis(generators, target: VectorField, points, params):
 
 def _is_numerically_zero(e: Expr, points, params, tol=1e-12) -> bool:
     e = simplify(e)
-    if e.is_zero():
-        return True
-    worst = 0.0
-    for (t, x) in points:
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        try:
-            worst = max(worst, abs(evaluate(e, env)))
-        except EvalError:
-            return False
-    return worst <= tol
+    return e.is_zero() or _max_abs(evaluate_points([e], points, params)) <= tol
 
 
 def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,

@@ -116,13 +116,7 @@ def cmd_symmetries(args) -> int:
     except (ProblemError, ExprError) as e:
         _err(str(e))
         return EXIT_PARSE
-    except AnsatzError as e:
-        if "require numeric values" in str(e):
-            _err(str(e))
-            return EXIT_PARSE
-        _err(str(e))
-        return EXIT_SOLVER
-    except DeterminingError as e:
+    except (AnsatzError, DeterminingError) as e:
         _err(str(e))
         return EXIT_SOLVER
     _print_basis(basis, args.output)
@@ -175,7 +169,8 @@ def cmd_brackets(args) -> int:
                 for k in range(n):
                     v = sc.entry(k, i, j)
                     if abs(v) > 1e-10:
-                        coef = "" if v == 1.0 else ("-" if v == -1.0 else f"{_fmt_num(v)}*")
+                        num = _fmt_num(v)
+                        coef = {"1": "", "-1": "-"}.get(num, f"{num}*")
                         terms.append(f"{coef}X{k+1}")
                 rhs = " + ".join(terms) if terms else "0"
                 print(f"  [X{i+1}, X{j+1}] = {rhs}")

@@ -468,6 +468,48 @@ def compile_fn(e: Expr, names: Sequence[str],
     return compiled
 
 
+def evaluate_points(exprs: Sequence[Expr], points,
+                    bindings: Mapping[str, float] | None = None,
+                    extra: Sequence[str] = ()) -> np.ndarray:
+    """Values of `exprs` at every point, as an array (len(points), len(exprs)).
+
+    Each point is (t, x) followed by one value per name in `extra`; other
+    symbols come from `bindings`.  Every expression is compiled once with
+    `compile_fn` and evaluated over all points together, so a domain error
+    (division by zero, log of a non-positive value, overflow) leaves a
+    non-finite entry instead of raising.
+    """
+    names = ("t", "x", *extra)
+    cols = np.asarray(points, dtype=float).reshape(-1, len(names)).T
+    out = np.empty((cols.shape[1], len(exprs)))
+    for j, e in enumerate(exprs):
+        out[:, j] = compile_fn(e, names, bindings)(*cols)
+    return out
+
+
+def finite_points(exprs: Sequence[Expr], points,
+                  bindings: Mapping[str, float] | None = None,
+                  extra: Sequence[str] = ()) -> np.ndarray:
+    """`evaluate_points`, raising EvalError at the first non-finite entry.
+
+    The scalar reference `evaluate` explains the failure: the message names
+    the point and, for a domain error, the offending subexpression.
+    """
+    values = evaluate_points(exprs, points, bindings, extra)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        point = np.asarray(points, dtype=float).reshape(values.shape[0], -1)[i]
+        env = {**(bindings or {}), **dict(zip(("t", "x", *extra), point.tolist()))}
+        try:
+            reason = f"non-finite value {evaluate(exprs[j], env)} of '{exprs[j]}'"
+        except EvalError as err:
+            reason = str(err)
+        raise EvalError(
+            f"evaluation failed at point (t={env['t']}, x={env['x']}): {reason}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # canonical ordering
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determining import VectorField
-from .expr import ZERO, add, diff, evaluate, mul, simplify
+from .expr import ZERO, add, diff, finite_points, mul, simplify
 
 MATCH_TOL = 1e-8
 CLOSURE_TOL = 1e-8
@@ -88,14 +88,9 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
 
 def _features(fields, points, params) -> np.ndarray:
     """Stack (tau, phi) values over the grid: one column per field."""
-    F = np.zeros((2 * len(points), len(fields)))
-    for col, v in enumerate(fields):
-        for i, (t, x) in enumerate(points):
-            env = dict(params)
-            env["t"], env["x"] = t, x
-            F[2 * i, col] = evaluate(v.tau, env)
-            F[2 * i + 1, col] = evaluate(v.phi, env)
-    return F
+    exprs = [e for v in fields for e in (v.tau, v.phi)]
+    F = finite_points(exprs, points, params).reshape(len(points), len(fields), 2)
+    return F.transpose(0, 2, 1).reshape(2 * len(points), len(fields))
 
 
 def structure_constants(basis, points, params=None,
@@ -155,71 +150,75 @@ def apply_match(A: np.ndarray, fields) -> list:
 def _match_residual(A: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Residual entries R[r, i, j] = (c of transformed basis) - (target),
     flattened over i < j."""
-    n = A.shape[0]
-    R1 = np.einsum("ip,jq,rpq->rij", A, A, S)
-    R2 = np.einsum("kij,kr->rij", T, A)
-    R = R1 - R2
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.extend(R[:, i, j])
-    return np.asarray(out)
+    R = np.einsum("ip,jq,rpq->rij", A, A, S) - np.einsum("kij,kr->rij", T, A)
+    i, j = np.triu_indices(A.shape[0], 1)
+    return R[:, i, j].T.ravel()
 
 
 def _match_jacobian(A: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """d(_match_residual)/d(A[a, b]), rows in residual order."""
     n = A.shape[0]
+    eye = np.eye(n)
     P1 = np.einsum("jq,rbq->rjb", A, S)   # sum_q A[j,q] S[r,b,q]
     P2 = np.einsum("ip,rpb->rib", A, S)   # sum_p A[i,p] S[r,p,b]
-    n_res = n * (n * (n - 1) // 2)
-    J = np.zeros((n_res, n * n))
-    row = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for r in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        val = 0.0
-                        if a == i:
-                            val += P1[r, j, b]
-                        if a == j:
-                            val += P2[r, i, b]
-                        if b == r:
-                            val -= T[a, i, j]
-                        J[row, a * n + b] = val
-                row += 1
-    return J
+    J = (np.einsum("ai,rjb->ijrab", eye, P1) + np.einsum("aj,rib->ijrab", eye, P2)
+         - np.einsum("br,aij->ijrab", eye, T))
+    i, j = np.triu_indices(n, 1)
+    return J[i, j].reshape(-1, n * n)
 
 
-def _gauss_newton_match(A0, S, T, max_iter=80):
-    A = A0.copy()
-    n = A.shape[0]
+def _gauss_newton(residual, jacobian, x0, max_iter: int):
+    """Levenberg-damped Gauss-Newton least squares from x0.
+
+    `residual(x)` returns the residual vector and `jacobian(x)` its
+    derivative matrix.  Returns (x, |residual(x)|).
+    """
+    x = np.array(x0, dtype=float)
     lam = 1e-8
-    cost = float(np.sum(_match_residual(A, S, T) ** 2))
+    r = residual(x)
+    cost = float(np.sum(r ** 2))
     for _ in range(max_iter):
-        r = _match_residual(A, S, T)
         if cost < 1e-26:
             break
-        J = _match_jacobian(A, S, T)
+        J = jacobian(x)
         g = J.T @ r
         H = J.T @ J
-        improved = False
         for _ in range(12):
             try:
-                step = np.linalg.solve(H + lam * np.eye(n * n), -g)
+                step = np.linalg.solve(H + lam * np.eye(x.size), -g)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
-            A_new = A + step.reshape(n, n)
-            new_cost = float(np.sum(_match_residual(A_new, S, T) ** 2))
+            r_new = residual(x + step)
+            new_cost = float(np.sum(r_new ** 2))
             if new_cost < cost:
-                A, cost = A_new, new_cost
+                x, r, cost = x + step, r_new, new_cost
                 lam = max(lam / 3, 1e-12)
-                improved = True
                 break
             lam *= 10
-        if not improved:
+        else:
             break
-    return A, math.sqrt(cost)
+    return x, math.sqrt(cost)
+
+
+def _gauss_newton_match(A0, S, T, mask=None, max_iter=80):
+    """Gauss-Newton on the entries of A not set in `mask` (which stay fixed)."""
+    n = A0.shape[0]
+    # a slice keeps the Jacobian C-ordered, which the BLAS products below
+    # round differently from the F-ordered copy a boolean mask returns
+    free = slice(None) if mask is None else ~mask.ravel()
+    flat = A0.ravel().copy()
+
+    def unpack(z):
+        A = flat.copy()
+        A[free] = z
+        return A.reshape(n, n)
+
+    z, resid = _gauss_newton(
+        lambda z: _match_residual(unpack(z), S, T),
+        lambda z: _match_jacobian(unpack(z), S, T)[:, free],
+        flat[free], max_iter)
+    return unpack(z), resid
 
 
 def _restart_pool(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -229,41 +228,6 @@ def _restart_pool(S: np.ndarray, T: np.ndarray) -> np.ndarray:
         if m > 1e-9:
             vals.update((m, -m, 1.0 / m, -1.0 / m))
     return np.array(sorted(vals))
-
-
-def _polish_masked(A, mask, S, T):
-    """Gauss-Newton restricted to the unmasked entries of A."""
-    n = A.shape[0]
-    lam = 1e-8
-    free = ~mask.ravel()
-    cost = float(np.sum(_match_residual(A, S, T) ** 2))
-    for _ in range(40):
-        if cost < 1e-26:
-            break
-        r = _match_residual(A, S, T)
-        J = _match_jacobian(A, S, T)[:, free]
-        g = J.T @ r
-        H = J.T @ J
-        improved = False
-        for _ in range(10):
-            try:
-                step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            flat = A.ravel().copy()
-            flat[free] += step
-            A_new = flat.reshape(n, n)
-            new_cost = float(np.sum(_match_residual(A_new, S, T) ** 2))
-            if new_cost < cost:
-                A, cost = A_new, new_cost
-                lam = max(lam / 3, 1e-12)
-                improved = True
-                break
-            lam *= 10
-        if not improved:
-            break
-    return A, math.sqrt(cost)
 
 
 def _sparsify(A, S, T, tol):
@@ -280,7 +244,7 @@ def _sparsify(A, S, T, tol):
         trial_mask[i, j] = True
         trial = A.copy()
         trial[i, j] = 0.0
-        trial, resid = _polish_masked(trial, trial_mask, S, T)
+        trial, resid = _gauss_newton_match(trial, S, T, trial_mask, max_iter=40)
         trial[trial_mask] = 0.0
         if resid < tol and abs(np.linalg.det(trial)) > 1e-9:
             A, mask = trial, trial_mask

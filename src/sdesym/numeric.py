@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .ansatz import DEFAULT_WINDOW, sample_points
+from .ansatz import DEFAULT_WINDOW, _max_abs, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
-from .expr import compile_fn, diff, evaluate, simplify
+from .expr import compile_fn, diff, evaluate_points, simplify
 from .transform import TransformMap
 
 FRESH_SEED_OFFSET = 1_000_003
@@ -138,14 +138,10 @@ def residual_check(ds: DeterminingSystem, params=None, n_points: int = 200,
     params = dict(params or {})
     points = sample_points(n_points, window, seed, reject=ds.residuals,
                            params=params)
-    per = [0.0] * len(ds.residuals)
-    for (t, x) in points:
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        for i, res in enumerate(ds.residuals):
-            per[i] = max(per[i], abs(evaluate(res, env)))
-    worst = max(per, default=0.0)
-    return ResidualReport(worst, worst < tol, tol, n_points, tuple(per))
+    per = _max_abs(evaluate_points(ds.residuals, points, params), axis=0)
+    worst = float(_max_abs(per))
+    return ResidualReport(worst, worst < tol, tol, n_points,
+                          tuple(float(m) for m in per))
 
 
 # ---------------------------------------------------------------------------

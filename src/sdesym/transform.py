@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import (
-    AnsatzError,
     DEFAULT_WINDOW,
+    NonAffineError,
     _fresh_names,
     _linear_combo,
+    _max_abs,
     _vec_to_expr,
     build_linear_system,
     sample_points,
@@ -33,17 +34,18 @@ from .ansatz import (
 from .determining import DeterminingSystem, VectorField
 from .expr import (
     Expr,
-    EvalError,
     HALF,
     add,
     diff,
-    evaluate,
+    evaluate_points,
+    finite_points,
     mul,
     parameters_of,
     simplify,
     substitute,
     variables_of,
 )
+from .lie import _gauss_newton
 
 MAP_TOL = 1e-8
 
@@ -137,68 +139,14 @@ def transformation_system(pairs: PairedSymmetries, mu1: Expr, mu2: Expr,
 
 def _system_max_residual(pairs, tmap: TransformMap, points, params) -> float:
     system = transformation_system(pairs, tmap.mu1, tmap.mu2)
-    worst = 0.0
-    for (t, x) in points:
-        env = dict(params)
-        env["t"], env["x"] = t, x
-        for res in system.residuals:
-            worst = max(worst, abs(evaluate(res, env)))
-    return worst
+    return float(_max_abs(evaluate_points(system.residuals, points, params)))
 
 
 def _monotone_mu1(mu1: Expr, window, params, n: int = 64) -> bool:
-    d = diff(mu1, "t")
     t0, t1 = window[0], window[1]
     xm = 0.5 * (window[2] + window[3])
-    for i in range(n):
-        env = dict(params)
-        env["t"] = t0 + (t1 - t0) * i / (n - 1)
-        env["x"] = xm
-        try:
-            if evaluate(d, env) <= 0.0:
-                return False
-        except EvalError:
-            return False
-    return True
-
-
-def _gauss_newton_generic(residual_fn, x0, max_iter=60):
-    """Newton-type least squares with finite-difference Jacobian."""
-    x = np.asarray(x0, dtype=float).copy()
-    m = x.size
-    lam = 1e-8
-    r = residual_fn(x)
-    cost = float(r @ r)
-    for _ in range(max_iter):
-        if cost < 1e-24:
-            break
-        J = np.zeros((r.size, m))
-        h = 1e-6
-        for j in range(m):
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (residual_fn(xp) - r) / h
-        g = J.T @ r
-        H = J.T @ J
-        improved = False
-        for _ in range(10):
-            try:
-                step = np.linalg.solve(H + lam * np.eye(m), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            x_new = x + step
-            r_new = residual_fn(x_new)
-            c_new = float(r_new @ r_new)
-            if c_new < cost:
-                x, r, cost = x_new, r_new, c_new
-                lam = max(lam / 3, 1e-12)
-                improved = True
-                break
-            lam *= 10
-        if not improved:
-            break
-    return x, math.sqrt(cost / max(1, r.size))
+    grid = [(t0 + (t1 - t0) * i / (n - 1), xm) for i in range(n)]
+    return bool(np.all(evaluate_points([diff(mu1, "t")], grid, params) > 0.0))
 
 
 def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
@@ -247,9 +195,7 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
 
     try:
         M, b = build_linear_system(system, points, params)
-    except AnsatzError as err:
-        if "non-affine" not in str(err):
-            raise
+    except NonAffineError:
         coeffs = _solve_nonlinear(system, points, params, len(unknowns),
                                   seed, restarts,
                                   pin=pin, mu_bases=(mu1_basis, mu2_basis))
@@ -295,19 +241,22 @@ def _snap_coeffs(M, b, coeffs, budget):
     return coeffs
 
 
+def _pin_rows(pin, mu1_basis, mu2_basis, params):
+    """Rows P and targets v with P @ coeffs = v pinning mu(t0, x0) = (v1, v2)."""
+    t0, x0, v1, v2 = pin
+    k = len(mu1_basis)
+    vals = finite_points((*mu1_basis, *mu2_basis), [(t0, x0)], params)[0]
+    P = np.zeros((2, vals.size))
+    P[0, :k] = vals[:k]
+    P[1, k:] = vals[k:]
+    return P, np.array([v1, v2], dtype=float)
+
+
 def _apply_pin(M, b, coeffs, pin, mu1_basis, mu2_basis, params):
     """Re-solve with rows pinning mu(t0, x0) = (v1, v2), then verify."""
-    t0, x0, v1, v2 = pin
-    env = dict(params)
-    env["t"], env["x"] = t0, x0
-    row1 = np.array([evaluate(e, env) for e in mu1_basis]
-                    + [0.0] * len(mu2_basis))
-    row2 = np.array([0.0] * len(mu1_basis)
-                    + [evaluate(e, env) for e in mu2_basis])
-    w = 1.0
-    Ma = np.vstack([M, w * row1, w * row2])
-    ba = np.concatenate([b, [-w * v1, -w * v2]])
-    pinned, *_ = np.linalg.lstsq(Ma, -ba, rcond=None)
+    P, v = _pin_rows(pin, mu1_basis, mu2_basis, params)
+    pinned, *_ = np.linalg.lstsq(np.vstack([M, P]), np.concatenate([-b, v]),
+                                 rcond=None)
     feas = float(np.max(np.abs(M @ pinned + b)))
     if feas > 1e-7:
         return coeffs  # pin incompatible with the map conditions; keep gauge
@@ -317,37 +266,26 @@ def _apply_pin(M, b, coeffs, pin, mu1_basis, mu2_basis, params):
 def _solve_nonlinear(system, points, params, n_unknowns, seed, restarts,
                      pin=None, mu_bases=None):
     names = system.unknowns
-    pin_rows = []
+    P, v = np.zeros((0, n_unknowns)), np.zeros(0)
     if pin is not None and mu_bases is not None:
-        t0, x0, v1, v2 = pin
-        env = dict(params)
-        env["t"], env["x"] = t0, x0
-        mu1_basis, mu2_basis = mu_bases
-        row1 = [evaluate(e, env) for e in mu1_basis] + [0.0] * len(mu2_basis)
-        row2 = [0.0] * len(mu1_basis) + [evaluate(e, env) for e in mu2_basis]
-        pin_rows = [(np.asarray(row1), v1), (np.asarray(row2), v2)]
+        P, v = _pin_rows(pin, *mu_bases, params)
+    pts = np.asarray(points, dtype=float)
 
     def residual_fn(c):
-        env = dict(params)
-        for nm, val in zip(names, c):
-            env[nm] = float(val)
-        out = []
-        for (t, x) in points:
-            env["t"], env["x"] = t, x
-            for res in system.residuals:
-                try:
-                    out.append(evaluate(res, env))
-                except EvalError:
-                    out.append(1e6)
-        for row, target in pin_rows:
-            out.append(float(row @ c) - target)
-        return np.asarray(out)
+        grid = np.hstack([pts, np.tile(c, (len(pts), 1))])
+        vals = evaluate_points(system.residuals, grid, params, names).ravel()
+        return np.concatenate([np.where(np.isfinite(vals), vals, 1e6), P @ c - v])
+
+    def fd_jacobian(c, h=1e-6):
+        r = residual_fn(c)
+        return np.column_stack([(residual_fn(c + h * e) - r) / h
+                                for e in np.eye(c.size)])
 
     rng = np.random.default_rng(seed)
     best = None
     for k in range(restarts):
         x0 = np.zeros(n_unknowns) if k == 0 else rng.normal(0.0, 1.0, n_unknowns)
-        x, _ = _gauss_newton_generic(residual_fn, x0)
+        x, _ = _gauss_newton(residual_fn, fd_jacobian, x0, max_iter=60)
         resid = float(np.max(np.abs(residual_fn(x))))
         if best is None or resid < best[0]:
             best = (resid, x)

@@ -1,12 +1,17 @@
 """Ansatz solver: linearization, nullspaces, two-stage solve, oracle."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
 from sdesym.ansatz import (
     Ansatz,
     AnsatzError,
+    _fresh_names,
     _linear_combo,
+    _singularity_guards,
     build_linear_system,
     express_in_basis,
     max_residual,
@@ -15,12 +20,14 @@ from sdesym.ansatz import (
     solve_symmetries,
 )
 from sdesym.determining import (
+    PHITILDE_ROWS,
     DeterminingSystem,
     Sde,
     VectorField,
     build_system,
 )
-from sdesym.expr import ZERO, parse, simplify
+from sdesym.expr import ZERO, evaluate, parse, simplify
+from sdesym.problem import load_problem
 
 from conftest import collection_nullspace_dim
 
@@ -37,6 +44,58 @@ AXINV = Sde(p("a/x"), p("1"), {"a": 1.0})
 
 TAU1T = (p("1"), p("t"))
 PHI1X = (p("1"), p("x"))
+PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "problems")
+
+
+def scalar_linear_system(ds, points, params):
+    """Point-by-point reference for build_linear_system with the scalar
+    evaluator: returns (M, b, scale), scale being the sum of |top-level
+    terms| behind each entry of [b | M], which sets its zero-snap threshold."""
+    n = len(ds.unknowns)
+    M, b, scale = [], [], []
+    for t, x in points:
+        for res in ds.residuals:
+            terms = res.children if res.kind == "sum" else (res,)
+            row, row_scale = [], []
+            for c in [np.zeros(n), *np.eye(n)]:
+                env = {**params, "t": t, "x": x, **dict(zip(ds.unknowns, c))}
+                row.append(evaluate(res, env))
+                row_scale.append(sum(abs(evaluate(term, env)) for term in terms))
+            tiny = 1e-12 * np.maximum(1.0, row_scale)
+            base = 0.0 if abs(row[0]) <= tiny[0] else row[0]
+            entries = [v - base for v in row[1:]]
+            M.append([0.0 if abs(v) <= tol else v for v, tol in zip(entries, tiny[1:])])
+            b.append(base)
+            scale.append(row_scale)
+    return np.array(M).reshape(-1, n), np.array(b), np.array(scale).reshape(-1, n + 1)
+
+
+def shipped_systems():
+    """Stage-1 and stage-2 systems of every shipped problem, as the
+    stochastic solve builds them, with its sample points."""
+    out = []
+    for name in sorted(os.listdir(PROBLEMS)):
+        pf = load_problem(os.path.join(PROBLEMS, name))
+        sde, a = pf.require_sde(), pf.ansatz
+        mode = "det-ode" if sde.is_deterministic() else "stochastic"
+        params = sde.bound_params()
+        points = sample_points(64, pf.window(), pf.seed(),
+                               reject=_singularity_guards(sde), params=params)
+        names = _fresh_names(a.n_unknowns(), set(params))
+        tau = _linear_combo(names[:len(a.tau)], a.tau)
+        phi = _linear_combo(names[len(a.tau):len(a.tau) + len(a.phi)], a.phi)
+        pt_names = names[len(a.tau) + len(a.phi):]
+        if a.phitilde:
+            full = build_system(sde, VectorField(ZERO, ZERO,
+                                                 _linear_combo(pt_names, a.phitilde)), mode)
+            out.append((DeterminingSystem(
+                tuple(full.residuals[i] for i in PHITILDE_ROWS[mode]),
+                unknowns=tuple(pt_names)), points, params))
+        out.append((DeterminingSystem(
+            build_system(sde, VectorField(tau, phi, ZERO), mode).residuals,
+            unknowns=tuple(names[:len(a.tau) + len(a.phi)])), points, params))
+    return out
 
 
 class TestSamplePoints:
@@ -109,6 +168,52 @@ class TestBuildLinearSystem:
                                unknowns=("_c0",))
         with pytest.raises(AnsatzError, match="non-affine"):
             build_linear_system(ds, sample_points(8, seed=3), {})
+
+    def test_matches_scalar_reference_on_shipped_systems(self):
+        systems = shipped_systems()
+        assert len(systems) == 7  # stage 2 of all four problems, stage 1 of three
+        for ds, points, params in systems:
+            M, b = build_linear_system(ds, points, params)
+            M_ref, b_ref, scale = scalar_linear_system(ds, points, params)
+            # numpy's exp/log may round differently from math's in the last
+            # place, so entries agree to the snap threshold; zeros exactly
+            bM, bM_ref = np.column_stack([b, M]), np.column_stack([b_ref, M_ref])
+            assert np.array_equal(bM == 0.0, bM_ref == 0.0)
+            assert np.all(np.abs(bM - bM_ref) <= 1e-12 * np.maximum(1.0, scale))
+
+    def test_cancellation_snaps_to_exact_zero(self):
+        # (x + t)^2 - x^2 - 2*x*t - t^2 is a few ulps off zero at most points
+        res = parse("_c0*(x + t)^2 - _c0*x^2 - 2*_c0*x*t - _c0*t^2 + _c1*t",
+                    parameters=("_c0", "_c1"))
+        ds = DeterminingSystem((res,), unknowns=("_c0", "_c1"))
+        points = sample_points(8, seed=3)
+        assert any(evaluate(res, {"t": t, "x": x, "_c0": 1.0, "_c1": 0.0}) != 0.0
+                   for t, x in points)
+        M, b = build_linear_system(ds, points, {})
+        M_ref, b_ref, _ = scalar_linear_system(ds, points, {})
+        assert np.all(M[:, 0] == 0.0) and np.all(M_ref[:, 0] == 0.0)
+        assert np.array_equal(M[:, 1], [t for t, _ in points])
+        assert np.all(b == 0.0)
+
+    def test_domain_error_names_the_point(self):
+        res = parse("_c0*log(x - 1) + t", parameters=("_c0",))
+        ds = DeterminingSystem((res,), unknowns=("_c0",))
+        points = sample_points(8, seed=3)
+        t, x = next((t, x) for t, x in points if x <= 1.0)
+        with pytest.raises(AnsatzError) as err:
+            build_linear_system(ds, points, {})
+        assert str(err.value) == (
+            f"evaluation failed at point (t={t}, x={x}): log of a non-positive "
+            f"value in subexpression 'log(x - 1)'")
+
+    def test_non_finite_residual_fails_the_gate(self):
+        # the residuals are below 1e-11 for x > 1 and nan for x < 1
+        v = VectorField(p("2*t"), p("x + 1e-12*(x - 1)^(5/2)"))
+        points = sample_points(16, seed=3)
+        assert any(x < 1.0 for _, x in points)
+        assert max_residual(BROWNIAN, v, "classical", points, {}) == math.inf
+        above = [(t, x) for t, x in points if x > 1.0]
+        assert max_residual(BROWNIAN, v, "classical", above, {}) < 1e-8
 
 
 class TestSolveSymmetries:

@@ -217,6 +217,16 @@ class TestEvaluate:
                 ref = horner(coeffs, xv)
                 assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_batched_domain_error_is_non_finite_and_explained(self):
+        exprs = [p("x"), p("a/(x - 1)")]
+        points = [(0.5, 2.0), (0.5, 1.0)]
+        vals = ex.evaluate_points(exprs, points, {"a": 1.0})
+        assert vals[0].tolist() == [2.0, 1.0]
+        assert vals[1, 0] == 1.0 and not np.isfinite(vals[1, 1])
+        with pytest.raises(ex.EvalError, match=r"at point \(t=0.5, x=1.0\): division "
+                                               r"by zero in subexpression 'a/\(x - 1\)'"):
+            ex.finite_points(exprs, points, {"a": 1.0})
+
     def test_compile_matches_scalar(self, rng):
         for _ in range(40):
             e = random_expr(rng, 3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdesym.ansatz import AnsatzError
 from sdesym.determining import Sde, VectorField, stochastic_system
 from sdesym.expr import parse
 from sdesym.numeric import (
@@ -88,6 +89,11 @@ class TestResidualCheck:
         # x-minimum 0.5 (row (i) separately carries the a/x^3 term)
         assert 1.0 < rep.per_residual[1] <= 1.0 / 0.5 ** 2
         assert rep.max_abs >= rep.per_residual[1]
+
+    def test_non_finite_everywhere_never_passes(self):
+        ds = stochastic_system(BROWNIAN, VectorField(phi=p("1e-12*(-x)^(1/2)")))
+        with pytest.raises(AnsatzError, match="could not sample"):
+            residual_check(ds)
 
     def test_report_format(self):
         ds = stochastic_system(BROWNIAN, VectorField(phitilde=p("1")))

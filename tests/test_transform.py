@@ -13,6 +13,8 @@ from sdesym.transform import (
     PairedSymmetries,
     TransformError,
     TransformMap,
+    _monotone_mu1,
+    _system_max_residual,
     solve_map,
     transformation_system,
 )
@@ -182,6 +184,27 @@ class TestSolveMap:
                 env["t"], env["x"] = t, x
                 val = evaluate(mu1_x, env) * evaluate(v.phitilde, env)
                 assert abs(val) < 1e-10
+
+
+class TestNonFiniteGates:
+    """A value that is nan on part of the window never passes a gate, even
+    where the finite part would."""
+
+    def test_system_residual(self):
+        # mu2_x = 1 + 1.5e-12*(x - 1)^(1/2): nan for x < 1
+        pairs = PairedSymmetries.from_tx([(VectorField(phi=p("1")),
+                                           VectorField(phi=p("1")))])
+        tmap = TransformMap(p("t"), p("x + 1e-12*(x - 1)^(3/2)"))
+        points = sample_points(16, seed=3)
+        above = [(t, x) for t, x in points if x > 1.0]
+        assert len(above) < len(points)
+        assert _system_max_residual(pairs, tmap, above, {}) < 1e-8
+        assert _system_max_residual(pairs, tmap, points, {}) == np.inf
+
+    def test_monotone_mu1(self):
+        window = (0.1, 2.0, 0.5, 2.0)
+        assert _monotone_mu1(p("t + (t - 0.05)^(3/2)"), window, {})
+        assert not _monotone_mu1(p("t + (t - 1)^(3/2)"), window, {})
 
 
 class TestPipelineIntegration:
