@@ -11,12 +11,12 @@ unknown q = s^2 (q >= 0 checked afterwards).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .determining import (
     PHITILDE_ROWS,
@@ -108,6 +108,41 @@ class SymmetryBasis:
 # ---------------------------------------------------------------------------
 # sample points
 
+def _halton_blocks(seed: int, size: int):
+    """Successive blocks of `size` scrambled Halton points in [0, 1)^2.
+
+    Bases 2 and 3, each digit scrambled by its own random permutation (Owen
+    2017, arXiv:1706.02808), drawn from `default_rng(seed)`.  The draw order
+    and the rounding of each radical inverse reproduce the reference sampler
+    the tests compare against, bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    bases = []
+    for base in (2, 3):
+        # one permutation per digit whose weight base^-(j+1) exceeds 2^-54
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        # base^-(j+1) by repeated division, which rounds as the reference does
+        weights = np.divide.accumulate(
+            np.r_[1.0 / base, np.full(count - 1, float(base))])
+        bases.append((base, perms, weights))
+    for start in itertools.count(0, size):
+        k = np.arange(start, start + size, dtype=np.int64)
+        cols = []
+        for base, perms, weights in bases:
+            # term j is perms[j, digit j of k] * weight j; the digits above
+            # those of the largest k are 0 at every point
+            terms = np.repeat(perms[:, :1] * weights[:, None], size, axis=1)
+            j = np.arange(len(np.base_repr(start + size - 1, base)))[:, None]
+            terms[:len(j)] = perms[j, k // base**j % base] * weights[j]
+            # a sequential sum over j (cumsum) keeps the reference's
+            # rounding; np.sum may add pairwise
+            cols.append(np.cumsum(terms, axis=0)[-1])
+        yield np.column_stack(cols)
+
+
 def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
                   reject=(), params=None, max_draws: int = 50) -> list:
     """Quasi-random (Halton) points in the window, rejecting singular loci.
@@ -116,10 +151,8 @@ def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
     non-finite there (a domain error included).
     """
     t0, t1, x0, x1 = window
-    halton = qmc.Halton(d=2, scramble=True, seed=seed)
     points = []
-    for _ in range(max_draws):
-        block = halton.random(max(n, 8))
+    for block in itertools.islice(_halton_blocks(seed, max(n, 8)), max_draws):
         block = np.column_stack([t0 + (t1 - t0) * block[:, 0],
                                  x0 + (x1 - x0) * block[:, 1]])
         ok = np.all(np.isfinite(evaluate_points(reject, block, params)), axis=1)

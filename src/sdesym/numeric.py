@@ -13,10 +13,10 @@ flow is not pinned down by the symbolic layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .ansatz import DEFAULT_WINDOW, _max_abs, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
@@ -75,8 +75,8 @@ def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
     params = sde.bound_params()
     f = compile_fn(sde.drift, ("t", "x"), params)
     g = compile_fn(sde.diffusion, ("t", "x"), params)
-    # counter-based generator: the increment at (path, step) is a pure
-    # function of (seed, path, step)
+    # one (n_paths, K) draw in row-major order: path i's increments depend
+    # on (seed, i, K) and do not change with n_paths
     rng = np.random.Generator(np.random.Philox(key=seed))
     normals = rng.standard_normal((n_paths, K))
     steps = np.diff(times)
@@ -319,10 +319,87 @@ class KSReport:
         return "\n".join(lines)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+
+
+def _smirnov_sf(n: int, d: float) -> float:
+    """P(D+_n >= d), the exact one-sided tail: the Birnbaum-Tingey sum
+    d * sum_j C(n, j) (d + j/n)^(j-1) (1 - d - j/n)^(n-j), added in logs."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    rest = 1.0 - d - j / n
+    j, rest = j[rest > 0], rest[rest > 0]
+    lf = _log_factorials(n)
+    log_terms = (lf[n] - lf[j] - lf[n - j] + math.log(d)
+                 + (j - 1) * np.log(d + j / n) + (n - j) * np.log(rest))
+    top = log_terms.max()
+    return math.exp(top) * float(np.exp(log_terms - top).sum())
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d) exactly, from Durbin's matrix (Marsaglia, Tsang & Wang
+    2003, J. Stat. Softw. 8(18)): n!/n^n (H^n)[k-1, k-1] with k = ceil(n d),
+    H^n by repeated squaring and its log scale kept apart."""
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    inv_fact = np.exp(-_log_factorials(m))
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1
+    H = np.where(lag >= 0, inv_fact[np.clip(lag, 0, m)], 0.0)
+    edge = 1.0 - h ** np.arange(1, m + 1)
+    H[:, 0] *= edge
+    H[-1, :] *= edge[::-1]
+    H[-1, 0] = (1.0 - 2.0 * h**m + max(0.0, 2.0 * h - 1.0) ** m) * inv_fact[m]
+    power, log_power, log_h = np.eye(m), 0.0, 0.0
+    e = n
+    while True:
+        if e & 1:
+            power = power @ H
+            scale = power.max()
+            power /= scale
+            log_power += log_h + math.log(scale)
+        e >>= 1
+        if not e:
+            break
+        H = H @ H
+        scale = H.max()
+        H /= scale
+        log_h = 2.0 * log_h + math.log(scale)
+    return power[k - 1, k - 1] * math.exp(
+        log_power + math.lgamma(n + 1.0) - n * math.log(n))
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n > d) for the two-sided one-sample KS statistic D_n."""
+    if d >= 1.0:
+        return 0.0
+    if n * d <= 0.5:     # D_n >= 1/(2n) always
+        return 1.0
+    if d >= 0.5 or n * d * d >= 2.2:
+        # twice the one-sided tail: exact for d >= 1/2, and otherwise high
+        # by the overlap of the two tails, about 2 exp(-8 n d^2) < 5e-8
+        return min(1.0, 2.0 * _smirnov_sf(n, d))
+    return max(0.0, 1.0 - _durbin_cdf(n, d))
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray):
-    """Two-sample KS statistic and asymptotic p-value."""
-    res = ks_2samp(a, b, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    """Two-sample KS statistic and p-value.
+
+    The statistic is max |F_a - F_b| over the pooled sample.  The p-value is
+    the finite-n Kolmogorov tail P(D_n > statistic) at the rounded effective
+    size n = round(n1 n2 / (n1 + n2)), not the Kolmogorov limit.  An empty
+    sample or a NaN gives (nan, nan); n = 0 gives a nan p-value.
+    """
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = a.size, b.size
+    if not (n1 and n2) or np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+        return math.nan, math.nan
+    pooled = np.concatenate([a, b])
+    gap = (np.searchsorted(a, pooled, side="right") / n1
+           - np.searchsorted(b, pooled, side="right") / n2)
+    d = float(max(gap.max(), -gap.min()))
+    n = round(n1 * n2 / (n1 + n2))
+    return d, (_kolmogorov_sf(n, d) if n else math.nan)
 
 
 def _checkpoint_indices(K: int, n: int = N_CHECKPOINTS):

@@ -114,6 +114,28 @@ class TestSamplePoints:
                             reject=[pole], max_draws=5)
         assert all(abs(x - 1.0) > 0 for _, x in pts)
 
+    def test_halton_bit_identical_to_scipy(self):
+        # oracle: scipy's scrambled Halton sampler, which the in-house
+        # sequence reproduces; on the unit window the points pass unscaled
+        from scipy.stats import qmc
+
+        half = parse("log(x - 1/2)")    # rejects x <= 1/2, about half a block
+        for seed in range(60):
+            for n in (3, 8, 40, 64):
+                ref = qmc.Halton(d=2, scramble=True, seed=seed)
+                want = ref.random(max(n, 8))[:n]
+                got = sample_points(n, (0.0, 1.0, 0.0, 1.0), seed=seed)
+                assert np.array_equal(np.array(got), want)
+
+                ref = qmc.Halton(d=2, scramble=True, seed=seed)
+                want = np.empty((0, 2))
+                while len(want) < n:    # successive draws after rejection
+                    block = ref.random(max(n, 8))
+                    want = np.vstack([want, block[block[:, 1] > 0.5]])
+                got = sample_points(n, (0.0, 1.0, 0.0, 1.0), seed=seed,
+                                    reject=[half])
+                assert np.array_equal(np.array(got), want[:n])
+
 
 class TestNullspace:
     def test_rank_one_row(self):

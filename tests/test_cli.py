@@ -1,6 +1,8 @@
 """Command-line surface: commands, exit codes, golden stability."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,3 +252,14 @@ def test_golden_text(capsys, name, argv, code):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert out == expected
+
+
+def test_cold_import_loads_no_scipy():
+    # scipy.stats alone took most of a cold command's start-up; the runtime
+    # needs numpy only, and scipy stays a test oracle
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sdesym.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,7 @@
 """Path simulation, flows, and KS-based verification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sdesym.numeric import (
     FlowError,
     FlowMap,
     NumericError,
+    _kolmogorov_sf,
     euler_maruyama,
     flow_apply,
     ks_two_sample,
@@ -52,6 +55,13 @@ class TestEulerMaruyama:
         assert np.array_equal(a.increments, b.increments)
         c = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=4)
         assert not np.array_equal(a.paths, c.paths)
+
+    def test_path_noise_independent_of_path_count(self):
+        # path i's increments depend on (seed, i, K), not on n_paths
+        few = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 8, seed=3)
+        many = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
+        assert np.array_equal(few.increments, many.increments[:8])
+        assert np.array_equal(few.paths, many.paths[:8])
 
     def test_singularity_aborts_paths(self):
         # log drift is undefined for x <= 0: paths crossing zero must be
@@ -179,6 +189,43 @@ class TestKS:
         e2 = euler_maruyama(BROWNIAN, 0.5, 5e-3, 200, 2000, seed=2)
         _, pv = ks_two_sample(e1.paths[:, -1], e2.paths[:, -1])
         assert pv < 1e-6
+
+
+    def test_empty_sample_gives_nan(self):
+        stat, pv = ks_two_sample(np.array([]), np.array([1.0, 2.0]))
+        assert math.isnan(stat) and math.isnan(pv)
+        assert not pv > 0.01
+
+    @pytest.mark.parametrize("n1, n2", [(100, 100), (1500, 1500),
+                                        (2000, 2000), (1990, 2000)])
+    def test_matches_scipy_ks_2samp(self, n1, n2):
+        # oracle: scipy's two-sample KS test with the finite-n p-value
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(n1 + n2)
+        for shift in (0.0, 0.03, 0.06, 0.1, 0.2, 0.4):
+            a = rng.standard_normal(n1)
+            b = rng.standard_normal(n2) + shift
+            ref = ks_2samp(a, b, method="asymp")
+            stat, pv = ks_two_sample(a, b)
+            assert stat == ref.statistic
+            assert abs(pv - ref.pvalue) <= 1e-5
+
+    @pytest.mark.parametrize("n", [50, 141, 750, 1000])
+    def test_kolmogorov_tail_matches_kstwo(self, n):
+        # oracle: scipy's finite-n Kolmogorov distribution, on a grid that
+        # reaches d <= 1/(2n), both sides of n d^2 = 2.2, d >= 1/2 and d = 1
+        from scipy.stats import kstwo
+
+        grid = np.concatenate([np.linspace(0.0, 1.0, 401),
+                               [0.25 / n, 0.5 / n, 1.0 / n, math.sqrt(2.2 / n),
+                                0.5, 1.0 - 1.0 / n]])
+        for d in grid:
+            got, want = _kolmogorov_sf(n, float(d)), float(kstwo.sf(d, n))
+            assert abs(got - want) <= 1e-5, d
+            assert (got > 0.01) == (want > 0.01), d
+        assert _kolmogorov_sf(n, 0.5 / n) == 1.0
+        assert _kolmogorov_sf(n, 1.0) == 0.0
 
 
 class TestVerifySymmetry:
