@@ -15,6 +15,7 @@ and scales (the products of paired entries are invariant and comparable).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,11 +148,20 @@ def apply_match(A: np.ndarray, fields) -> list:
 # ---------------------------------------------------------------------------
 # Gauss-Newton matching
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    """Index arrays (i, j) of the pairs i < j, read-only and shared."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _match_residual(A: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Residual entries R[r, i, j] = (c of transformed basis) - (target),
     flattened over i < j."""
     R = np.einsum("ip,jq,rpq->rij", A, A, S) - np.einsum("kij,kr->rij", T, A)
-    i, j = np.triu_indices(A.shape[0], 1)
+    i, j = _upper_pairs(A.shape[0])
     return R[:, i, j].T.ravel()
 
 
@@ -163,7 +173,7 @@ def _match_jacobian(A: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     P2 = np.einsum("ip,rpb->rib", A, S)   # sum_p A[i,p] S[r,p,b]
     J = (np.einsum("ai,rjb->ijrab", eye, P1) + np.einsum("aj,rib->ijrab", eye, P2)
          - np.einsum("br,aij->ijrab", eye, T))
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     return J[i, j].reshape(-1, n * n)
 
 

@@ -45,7 +45,9 @@ class PathEnsemble:
 
     `increments` holds the Wiener increments that drove each step (retained
     so time-change transforms can be audited); `aborted` flags paths that
-    hit a singularity or left the float range.
+    hit a singularity or left the float range.  Simulated ensembles store
+    their states step-major, so `paths` and `increments` are transposed
+    views of contiguous (K+1, n_paths) and (K, n_paths) arrays.
     """
 
     times: np.ndarray        # (K+1,)
@@ -69,8 +71,9 @@ class PathEnsemble:
 def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
                       n_paths: int, seed: int) -> PathEnsemble:
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise NumericError("time grid must be strictly increasing")
+    if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
+            or np.any(np.diff(times) <= 0)):
+        raise NumericError("time grid must be finite and strictly increasing")
     K = times.size - 1
     params = sde.bound_params()
     f = compile_fn(sde.drift, ("t", "x"), params)
@@ -80,23 +83,26 @@ def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
     rng = np.random.Generator(np.random.Philox(key=seed))
     normals = rng.standard_normal((n_paths, K))
     steps = np.diff(times)
-    dW = normals * np.sqrt(steps)[None, :]
-    X = np.empty((n_paths, K + 1))
-    X[:, 0] = x0
-    alive = np.ones(n_paths, dtype=bool)
-    for k in range(K):
-        xk = X[:, k]
-        with np.errstate(all="ignore"):
-            drift = np.broadcast_to(np.asarray(f(times[k], xk), dtype=float),
-                                    xk.shape)
-            diffu = np.broadcast_to(np.asarray(g(times[k], xk), dtype=float),
-                                    xk.shape)
-            nxt = xk + drift * steps[k] + diffu * dW[:, k]
-        bad = ~np.isfinite(nxt)
-        alive &= ~bad
-        nxt = np.where(alive, nxt, np.nan)
-        X[:, k + 1] = nxt
-    return PathEnsemble(times, X, dW, seed, ~alive)
+    # step-major storage: row k holds every path at times[k], so each step
+    # reads and writes contiguous memory
+    dW = np.empty((K, n_paths))
+    np.multiply(normals.T, np.sqrt(steps)[:, None], out=dW)
+    del normals
+    X = np.empty((K + 1, n_paths))
+    X[0] = x0
+    aborted = np.zeros(n_paths, dtype=bool)
+    tmp = np.empty(n_paths)
+    with np.errstate(all="ignore"):
+        for k in range(K):
+            xk, nxt = X[k], X[k + 1]
+            # X_{k+1} = (X_k + f h) + g dW, summed in this order
+            np.multiply(f(times[k], xk), steps[k], out=tmp)
+            np.add(xk, tmp, out=nxt)
+            np.multiply(g(times[k], xk), dW[k], out=tmp)
+            np.add(nxt, tmp, out=nxt)
+            aborted |= ~np.isfinite(nxt)
+            nxt[aborted] = np.nan
+    return PathEnsemble(times, X.T, dW.T, seed, aborted)
 
 
 def euler_maruyama(sde: Sde, x0: float, h: float, K: int,
@@ -147,6 +153,10 @@ def residual_check(ds: DeterminingSystem, params=None, n_points: int = 200,
 # ---------------------------------------------------------------------------
 # deterministic flows with time change
 
+# cells of F per block in _transport: the block's RK4 buffers stay in cache
+_FLOW_BLOCK_CELLS = 32_768
+
+
 def _flow_integrate(v: VectorField, params, eps: float, n_sub: int,
                     times, states=None):
     """RK4 integration of the coupled flow system from r = 0 to eps:
@@ -157,40 +167,91 @@ def _flow_integrate(v: VectorField, params, eps: float, n_sub: int,
     `times` is the array of initial beta values; `states` (optional) holds
     initial F values, broadcastable against `times` (e.g. paths of shape
     (n, K+1) over a grid of shape (K+1,)).  Returns (beta, J, F).
+
+    Since tau depends on t only, (beta, J) are integrated once on `times`
+    and each substep's stage times are kept; F is then integrated block by
+    block (`_transport`).  Every value is bit-identical to one RK4 loop
+    over the whole arrays.
     """
     tau = compile_fn(v.tau, ("t",), params)
     tau_t = compile_fn(diff(v.tau, "t"), ("t",), params)
-    phi = compile_fn(v.phi, ("t", "x"), params)
     beta = np.array(times, dtype=float, copy=True)
     J = np.ones_like(beta)
-    F = None if states is None else np.array(states, dtype=float, copy=True)
     h = eps / n_sub
+    stages = []
 
-    def _a(val, like):
-        return np.broadcast_to(np.asarray(val, dtype=float), like.shape)
+    def _a(val):
+        return np.broadcast_to(np.asarray(val, dtype=float), beta.shape)
 
     with np.errstate(all="ignore"):
         for _ in range(n_sub):
-            k1b = _a(tau(beta), beta)
-            k1j = _a(tau_t(beta), beta) * J
+            k1b = _a(tau(beta))
+            k1j = _a(tau_t(beta)) * J
             b2 = beta + 0.5 * h * k1b
-            k2b = _a(tau(b2), beta)
-            k2j = _a(tau_t(b2), beta) * (J + 0.5 * h * k1j)
+            k2b = _a(tau(b2))
+            k2j = _a(tau_t(b2)) * (J + 0.5 * h * k1j)
             b3 = beta + 0.5 * h * k2b
-            k3b = _a(tau(b3), beta)
-            k3j = _a(tau_t(b3), beta) * (J + 0.5 * h * k2j)
+            k3b = _a(tau(b3))
+            k3j = _a(tau_t(b3)) * (J + 0.5 * h * k2j)
             b4 = beta + h * k3b
-            k4b = _a(tau(b4), beta)
-            k4j = _a(tau_t(b4), beta) * (J + h * k3j)
-            if F is not None:
-                k1f = _a(phi(beta, F), F)
-                k2f = _a(phi(b2, F + 0.5 * h * k1f), F)
-                k3f = _a(phi(b3, F + 0.5 * h * k2f), F)
-                k4f = _a(phi(b4, F + h * k3f), F)
-                F = F + (h / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
+            k4b = _a(tau(b4))
+            k4j = _a(tau_t(b4)) * (J + h * k3j)
+            stages.append((beta, b2, b3, b4))
             beta = beta + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
             J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    if states is None:
+        return beta, J, None
+    F = np.array(states, dtype=float, copy=True)
+    phi = compile_fn(v.phi, ("t", "x"), params)
+    _transport(phi, h, stages, F)
     return beta, J, F
+
+
+def _transport(phi, h: float, stages, F: np.ndarray) -> None:
+    """dF/dr = phi(beta, F) by RK4 over the given stage times, in place.
+
+    Cells are independent, so F is split along its slowest-varying axis into
+    blocks of about _FLOW_BLOCK_CELLS cells, each taken through every
+    substep with preallocated buffers.  Per cell the roundings are those of
+    F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with k2 = phi(b2, F + (h/2) k1)
+    etc.; a sum may take its operands in swapped order (IEEE addition
+    commutes), so that most passes update a buffer in place and stream two
+    arrays rather than three.  phi may return its argument or a scalar.
+    """
+    if F.ndim == 0:
+        F = F.reshape(1)
+    # pad stage times to F's rank; walk memory order (step-major ensembles
+    # store paths transposed, so their rows are grid times)
+    pad = (1,) * (F.ndim - np.ndim(stages[0][0]))
+    stages = [[np.reshape(s, pad + np.shape(s)) for s in st] for st in stages]
+    if not F.flags.c_contiguous and F.flags.f_contiguous:
+        F = F.T
+        stages = [[s.T for s in st] for st in stages]
+    rows = max(1, _FLOW_BLOCK_CELLS * F.shape[0] // max(F.size, 1))
+    c_half, c_sixth = 0.5 * h, h / 6.0
+    with np.errstate(all="ignore"):
+        for lo in range(0, F.shape[0], rows):
+            Fb = F[lo:lo + rows]
+            arg, acc, tmp = (np.empty_like(Fb) for _ in range(3))
+            for st in stages:
+                b1, b2, b3, b4 = (s[lo:lo + rows] if s.shape[0] > 1 else s
+                                  for s in st)
+                k1 = phi(b1, Fb)             # Fb itself if phi = x
+                np.multiply(k1, c_half, out=arg)
+                np.add(arg, Fb, out=arg)
+                k = phi(b2, arg)             # arg itself if phi = x
+                np.multiply(k, 2, out=acc)
+                np.add(acc, k1, out=acc)
+                np.multiply(k, c_half, out=arg)
+                np.add(arg, Fb, out=arg)
+                k = phi(b3, arg)
+                np.multiply(k, 2, out=tmp)
+                np.add(acc, tmp, out=acc)
+                np.multiply(k, h, out=arg)
+                np.add(arg, Fb, out=arg)
+                np.add(acc, phi(b4, arg), out=acc)
+                np.multiply(acc, c_sixth, out=acc)
+                np.add(Fb, acc, out=Fb)
 
 
 @dataclass(frozen=True)
@@ -259,22 +320,23 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float,
     params = dict(params or {})
     beta, J, newX = _flow_integrate(v, params, eps, n_sub,
                                     ens.times, ens.paths)
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
+        raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
     sub = ens.paths[: min(8, ens.n_paths)]
     beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * n_sub, ens.times, sub)
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - newX[: sub.shape[0]])
-        conv = float(np.max(np.abs(beta - beta2)))
-        finite = np.isfinite(diffs)
-        if np.any(finite):
-            conv = max(conv, float(np.max(diffs[finite])))
+    # aborted or blown-up paths are dropped below, not held against the flow
+    conv = max(float(_max_abs(beta - beta2)),
+               float(np.max(diffs[np.isfinite(diffs)], initial=0.0)))
     if conv > 1e-8:
         raise FlowError(
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
     aborted = ens.aborted | ~np.all(np.isfinite(newX), axis=1)
-    newX = np.where(aborted[:, None], np.nan, newX)
+    newX[aborted] = np.nan
     out = PathEnsemble(beta, newX, ens.increments, ens.seed, aborted)
     fm = FlowMap(eps, v, params, n_sub=n_sub)
     return fm, out
