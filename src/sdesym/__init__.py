@@ -5,9 +5,7 @@ from .determining import (
     Sde,
     VectorField,
     DeterminingSystem,
-    classical_system,
-    stochastic_system,
-    deterministic_ode_system,
+    build_system,
 )
 from .ansatz import Ansatz, SymmetryBasis, nullspace, solve_symmetries
 from .lie import StructureConstants, BasisMatch, bracket, structure_constants, match_basis
@@ -24,8 +22,7 @@ from .numeric import (
 
 __all__ = [
     "Expr", "parse", "diff", "substitute", "evaluate", "simplify", "to_str",
-    "Sde", "VectorField", "DeterminingSystem",
-    "classical_system", "stochastic_system", "deterministic_ode_system",
+    "Sde", "VectorField", "DeterminingSystem", "build_system",
     "Ansatz", "SymmetryBasis", "nullspace", "solve_symmetries",
     "StructureConstants", "BasisMatch", "bracket", "structure_constants", "match_basis",
     "TransformMap", "PairedSymmetries", "transformation_system", "solve_map",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .determining import (
     Sde,
     VectorField,
     build_system,
-    classical_system,
-    deterministic_ode_system,
 )
 from .expr import (
     Expr,
@@ -41,6 +38,7 @@ from .expr import (
     param,
     parameters_of,
     simplify,
+    small_rational,
     variables_of,
 )
 
@@ -287,10 +285,8 @@ def _nice_scale(vec: np.ndarray, max_mult: int = 48) -> np.ndarray:
 def _coeff_const(v: float) -> Expr:
     # rationalize only when exact to a few ulps (0.5, 2, 1/3, ...); genuinely
     # irrational scales like sqrt(2) must stay floats or residuals degrade
-    frac = Fraction(v).limit_denominator(1 << 16)
-    if abs(float(frac) - v) <= 4e-16 * max(1.0, abs(v)):
-        return const(frac)
-    return const(v)
+    frac = small_rational(v, 1 << 16, 4e-16)
+    return const(v if frac is None else frac)
 
 
 def _vec_to_expr(vec, basis_fns, snap: float = 1e-9) -> Expr:
@@ -432,9 +428,8 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
         pt_expr = _linear_combo(pt_names, a.phitilde)
         v = VectorField(ZERO, ZERO, pt_expr)
         full = build_system(sde, v, mode)
-        ds1 = DeterminingSystem(
-            tuple(full.residuals[i] for i in pt_rows),
-            unknowns=tuple(pt_names), label=f"{mode}:stage1")
+        ds1 = DeterminingSystem(tuple(full.residuals[i] for i in pt_rows),
+                                unknowns=tuple(pt_names))
         M1, b1 = build_linear_system(ds1, points, params)
         if float(np.max(np.abs(b1), initial=0.0)) > 1e-12:
             raise AnsatzError("stage-1 system is not homogeneous")
@@ -453,7 +448,7 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
                 continue
             v = VectorField(tau_expr, phi_expr, ZERO)
             ds = DeterminingSystem(build_system(sde, v, mode).residuals,
-                                   unknowns=tuple(det_names), label=f"{mode}:stage2")
+                                   unknowns=tuple(det_names))
             M, b = build_linear_system(ds, points, params)
             if float(np.max(np.abs(b), initial=0.0)) > 1e-12:
                 raise AnsatzError("stage-2 system is not homogeneous")
@@ -476,17 +471,12 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
 
         # q-device: remaining rows are affine in (tau, phi coefficients, q)
         q_name = _fresh_names(1, taken | set(det_names) | set(pt_names))[0]
+        # rows (i) and (iii) at phitilde = 0, or row (i) alone for an ODE
         base_v = VectorField(tau_expr, phi_expr, ZERO)
-        if mode == "det-ode":
-            base = deterministic_ode_system(sde, base_v)
-            rows = [add(base.residuals[0], mul(param(q_name), qf))]
-        else:
-            base = classical_system(sde, base_v)
-            rows = [add(base.residuals[0], mul(param(q_name), qf)),
-                    add(base.residuals[1], mul(param(q_name), qg))]
-        unknowns = tuple(det_names) + (q_name,)
-        ds = DeterminingSystem(tuple(rows), unknowns=unknowns,
-                               label=f"{mode}:stage2:q")
+        base = build_system(sde, base_v, "det-ode" if mode == "det-ode" else "classical")
+        qs = (qf,) if mode == "det-ode" else (qf, qg)
+        rows = tuple(add(r, mul(param(q_name), q)) for r, q in zip(base.residuals, qs))
+        ds = DeterminingSystem(rows, unknowns=tuple(det_names) + (q_name,))
         M, b = build_linear_system(ds, points, params)
         for vec in _rref(nullspace(M, tol)):
             vec = _nice_scale(vec)

@@ -9,20 +9,22 @@ Generator printing convention: coefficient vectors are canonicalized
 printed coefficients become the smallest integer pattern a scalar
 rescaling allows, with the first printed coefficient positive.
 
-Exit codes: 0 success/pass, 2 problem or expression parse error, 3 solver
-failure, 4 algebras do not match (no change of basis found), 5 numeric
-verification failure.
+Exit codes: 0 success/pass, 2 bad option or problem/expression error,
+3 solver failure, 4 algebras do not match (no change of basis found),
+5 numeric verification failure.  `main` maps each error type to its code
+(EXIT_CODES); a command returns only its own pass/fail and no-match codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .ansatz import Ansatz, AnsatzError, sample_points, solve_symmetries
 from .determining import DeterminingError, Sde, VectorField, build_system
 from .expr import ExprError, ZERO, simplify
-from .lie import ClosureError, LieError, apply_match, match_basis, structure_constants
+from .lie import LieError, apply_match, match_basis, structure_constants
 from .numeric import (
     NumericError,
     residual_check,
@@ -30,13 +32,7 @@ from .numeric import (
     verify_symmetry,
 )
 from .problem import ProblemError, ProblemFile, load_problem, parse_field_file
-from .transform import (
-    NoMapError,
-    PairedSymmetries,
-    TransformError,
-    TransformMap,
-    solve_map,
-)
+from .transform import PairedSymmetries, TransformError, TransformMap, solve_map
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,18 +40,20 @@ EXIT_SOLVER = 3
 EXIT_NO_MATCH = 4
 EXIT_VERIFY = 5
 
+# the exit code of each error a command may raise; the first matching row wins
+EXIT_CODES = (
+    ((ProblemError, ExprError), EXIT_PARSE),
+    ((AnsatzError, DeterminingError, LieError, TransformError), EXIT_SOLVER),
+    ((NumericError,), EXIT_VERIFY),
+)
+
 
 def _err(msg: str):
     print(f"error: {msg}", file=sys.stderr)
 
 
 def _window(pf: ProblemFile, args):
-    if args.window:
-        vals = tuple(float(v) for v in args.window.split(","))
-        if len(vals) != 4:
-            raise ProblemError("--window needs t0,t1,x0,x1")
-        return vals
-    return pf.window()
+    return args.window or pf.window()
 
 
 def _seed(pf: ProblemFile, args) -> int:
@@ -78,9 +76,9 @@ def _solve(pf: ProblemFile, mode: str, args):
         ansatz = Ansatz(tau=ansatz.tau, phi=ansatz.phi)
     return solve_symmetries(
         pf.require_sde(), ansatz, mode,
-        n_points=args.points if args.points else int(pf.numeric.get("points", 64)),
+        n_points=args.points or int(pf.numeric.get("points", 64)),
         window=_window(pf, args), seed=_seed(pf, args),
-        tol=args.tol if args.tol else float(pf.numeric.get("tol", 1e-9)))
+        tol=args.tol or float(pf.numeric.get("tol", 1e-9)))
 
 
 def _print_basis(basis, output: str):
@@ -110,15 +108,8 @@ def _fmt_num(v: float) -> str:
 
 
 def cmd_symmetries(args) -> int:
-    try:
-        pf = load_problem(args.problem)
-        basis = _solve(pf, args.mode, args)
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except (AnsatzError, DeterminingError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    pf = load_problem(args.problem)
+    basis = _solve(pf, args.mode, args)
     _print_basis(basis, args.output)
     return EXIT_OK
 
@@ -128,26 +119,15 @@ def _deterministic_subset(basis):
 
 
 def cmd_brackets(args) -> int:
-    try:
-        pf = load_problem(args.problem)
-        basis = _solve(pf, args.mode, args)
-        fields = _deterministic_subset(basis)
-        if not fields:
-            _err("no deterministic generators to bracket")
-            return EXIT_SOLVER
-        params = pf.require_sde().bound_params()
-        points = sample_points(32, _window(pf, args), _seed(pf, args) + 17,
-                               params=params)
-        sc = structure_constants(fields, points, params)
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except ClosureError as e:
-        _err(str(e))
-        return EXIT_SOLVER
-    except (AnsatzError, LieError, DeterminingError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    pf = load_problem(args.problem)
+    basis = _solve(pf, args.mode, args)
+    fields = _deterministic_subset(basis)
+    if not fields:
+        raise LieError("no deterministic generators to bracket")
+    params = pf.require_sde().bound_params()
+    points = sample_points(32, _window(pf, args), _seed(pf, args) + 17,
+                           params=params)
+    sc = structure_constants(fields, points, params)
     n = sc.n
     if args.output == "kv":
         print(f"algebra.n = {n}")
@@ -214,14 +194,7 @@ def _print_match(m, output: str):
 
 
 def cmd_match(args) -> int:
-    try:
-        *_, m = _match_pipeline(args)
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except (AnsatzError, LieError, DeterminingError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    *_, m = _match_pipeline(args)
     if m is None:
         _err("algebra dimensions differ; no match attempted")
         return EXIT_NO_MATCH
@@ -234,14 +207,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_find_map(args) -> int:
-    try:
-        src_pf, tgt_pf, src_basis, tgt_basis, sc, tc, m = _match_pipeline(args)
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except (AnsatzError, LieError, DeterminingError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    src_pf, tgt_pf, src_basis, tgt_basis, sc, tc, m = _match_pipeline(args)
     if m is None:
         _err(f"algebra dimensions differ ({len(src_basis)} vs {len(tgt_basis)}); "
              f"no map attempted")
@@ -252,20 +218,16 @@ def cmd_find_map(args) -> int:
              "(algebras may be non-isomorphic)")
         return EXIT_NO_MATCH
     if not src_pf.map_mu1 or not src_pf.map_mu2:
-        _err(f"{src_pf.path}: find-map needs a [map.ansatz] section with mu1 and mu2")
-        return EXIT_PARSE
+        raise ProblemError(
+            f"{src_pf.path}: find-map needs a [map.ansatz] section with mu1 and mu2")
     params = {**tgt_pf.require_sde().bound_params(),
               **src_pf.require_sde().bound_params()}
-    try:
-        matched_fields = apply_match(m.A, list(src_basis))
-        pairs = PairedSymmetries.from_tx(list(zip(matched_fields, tgt_basis)))
-        pin = src_pf.numeric.get("pin")
-        tmap = solve_map(pairs, src_pf.map_mu1, src_pf.map_mu2, params=params,
-                         window=_window(src_pf, args), seed=_seed(src_pf, args),
-                         pin=pin)
-    except (NoMapError, TransformError, AnsatzError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    matched_fields = apply_match(m.A, list(src_basis))
+    pairs = PairedSymmetries.from_tx(list(zip(matched_fields, tgt_basis)))
+    pin = src_pf.numeric.get("pin")
+    tmap = solve_map(pairs, src_pf.map_mu1, src_pf.map_mu2, params=params,
+                     window=_window(src_pf, args), seed=_seed(src_pf, args),
+                     pin=pin)
     _print_match(m, args.output)
     if args.output == "kv":
         print(f"map.mu1 = {tmap.mu1}")
@@ -273,11 +235,7 @@ def cmd_find_map(args) -> int:
     else:
         print(f"map: mu1 = {tmap.mu1}")
         print(f"     mu2 = {tmap.mu2}")
-    try:
-        report = _run_verify_map(src_pf, tgt_pf.require_sde(), tmap, args)
-    except NumericError as e:
-        _err(str(e))
-        return EXIT_VERIFY
+    report = _run_verify_map(src_pf, tgt_pf.require_sde(), tmap, args)
     print(report.to_kv())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -287,7 +245,7 @@ def _numeric_settings(pf: ProblemFile, args):
         "x0": float(pf.numeric.get("x0", 1.0)),
         "h": float(pf.numeric.get("h", 1e-3)),
         "K": int(pf.numeric.get("steps", 1000)),
-        "n_paths": args.paths if args.paths else int(pf.numeric.get("paths", 2000)),
+        "n_paths": args.paths or int(pf.numeric.get("paths", 2000)),
         "seed": _seed(pf, args),
     }
 
@@ -298,65 +256,67 @@ def _run_verify_map(src_pf: ProblemFile, tgt: Sde, tmap: TransformMap, args):
 
 
 def cmd_verify_symmetry(args) -> int:
-    try:
-        pf = load_problem(args.problem)
-        _check_params_bound(pf)
-        sde = pf.require_sde()
-        fields = parse_field_file(args.generator, pf.variables, tuple(pf.params))
-        v = VectorField(fields.get("tau", ZERO), fields.get("phi", ZERO),
-                        fields.get("phitilde", ZERO))
-        mode = args.mode
-        if mode == "stochastic" and sde.is_deterministic():
-            mode = "det-ode"
-        system = build_system(sde, v, mode)
-        report = residual_check(system, sde.bound_params(),
-                                window=_window(pf, args), seed=_seed(pf, args))
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except (DeterminingError, AnsatzError) as e:
-        _err(str(e))
-        return EXIT_SOLVER
+    pf = load_problem(args.problem)
+    _check_params_bound(pf)
+    sde = pf.require_sde()
+    fields = parse_field_file(args.generator, pf.variables, tuple(pf.params))
+    v = VectorField(fields.get("tau", ZERO), fields.get("phi", ZERO),
+                    fields.get("phitilde", ZERO))
+    mode = args.mode
+    if mode == "stochastic" and sde.is_deterministic():
+        mode = "det-ode"
+    system = build_system(sde, v, mode)
+    report = residual_check(system, sde.bound_params(),
+                            window=_window(pf, args), seed=_seed(pf, args))
     print(report.to_kv())
     ok = report.passed
     if ok and not v.has_stochastic_part() and not sde.is_deterministic():
         eps = args.eps if args.eps is not None else float(pf.numeric.get("eps", 0.2))
         ns = _numeric_settings(pf, args)
-        try:
-            ks = verify_symmetry(sde, v, eps, **ns)
-        except NumericError as e:
-            _err(str(e))
-            return EXIT_VERIFY
+        ks = verify_symmetry(sde, v, eps, **ns)
         print(ks.to_kv())
         ok = ok and ks.passed
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify_map(args) -> int:
-    try:
-        src_pf = load_problem(args.source)
-        _check_params_bound(src_pf)
-        if args.target:
-            tgt = load_problem(args.target).require_sde()
-        elif src_pf.target is not None:
-            tgt = src_pf.target
-        else:
-            _err("no target SDE: pass a target problem or add [target.sde]")
-            return EXIT_PARSE
-        fields = parse_field_file(args.map, src_pf.variables, tuple(src_pf.params))
-        if "mu1" not in fields or "mu2" not in fields:
-            _err(f"{args.map}: map file needs mu1 and mu2")
-            return EXIT_PARSE
-        tmap = TransformMap(fields["mu1"], fields["mu2"])
-        report = _run_verify_map(src_pf, tgt, tmap, args)
-    except (ProblemError, ExprError) as e:
-        _err(str(e))
-        return EXIT_PARSE
-    except NumericError as e:
-        _err(str(e))
-        return EXIT_VERIFY
+    src_pf = load_problem(args.source)
+    _check_params_bound(src_pf)
+    if args.target:
+        tgt = load_problem(args.target).require_sde()
+    elif src_pf.target is not None:
+        tgt = src_pf.target
+    else:
+        raise ProblemError("no target SDE: pass a target problem or add [target.sde]")
+    fields = parse_field_file(args.map, src_pf.variables, tuple(src_pf.params))
+    if "mu1" not in fields or "mu2" not in fields:
+        raise ProblemError(f"{args.map}: map file needs mu1 and mu2")
+    tmap = TransformMap(fields["mu1"], fields["mu2"])
+    report = _run_verify_map(src_pf, tgt, tmap, args)
     print(report.to_kv())
     return EXIT_OK if report.passed else EXIT_VERIFY
+
+
+def _option(convert, ok, what):
+    """argparse type: convert the text and refuse a value failing `ok`, so
+    that a bad option exits 2 with a usage error."""
+    def check(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return check
+
+
+_SEED = _option(int, lambda v: v >= 0, "an integer >= 0")
+_COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
+_TOL = _option(float, lambda v: 0 < v < math.inf, "a finite float > 0")
+_WINDOW = _option(lambda text: tuple(float(v) for v in text.split(",")),
+                  lambda v: len(v) == 4 and all(map(math.isfinite, v)),
+                  "four finite floats t0,t1,x0,x1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
                "allows, first printed coefficient positive (so the Brownian "
                "scaling symmetry prints as [2*t d/dt + x d/dx]^D). Output is "
                "byte-stable for a fixed --seed.")
-    p.add_argument("--seed", type=int, default=None, help="override problem seed")
-    p.add_argument("--tol", type=float, default=None, help="rank tolerance")
-    p.add_argument("--points", type=int, default=None, help="sample point count")
-    p.add_argument("--paths", type=int, default=None, help="Monte-Carlo path count")
-    p.add_argument("--window", type=str, default=None, help="t0,t1,x0,x1")
+    p.add_argument("--seed", type=_SEED, default=None, help="override problem seed")
+    p.add_argument("--tol", type=_TOL, default=None, help="rank tolerance")
+    p.add_argument("--points", type=_COUNT, default=None, help="sample point count")
+    p.add_argument("--paths", type=_COUNT, default=None, help="Monte-Carlo path count")
+    p.add_argument("--window", type=_WINDOW, default=None, help="t0,t1,x0,x1")
     p.add_argument("--mode", choices=("classical", "stochastic", "det-ode"),
                    default="stochastic", help="determining system flavor")
     p.add_argument("--output", choices=("text", "kv"), default="text")
@@ -414,7 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(t for types, _ in EXIT_CODES for t in types) as e:
+        _err(str(e))
+        return next(code for types, code in EXIT_CODES if isinstance(e, types))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Determining systems for symmetries of scalar Ito SDEs dX = f dt + g dW.
 
-Three builders produce lists of symbolic residuals in the generator
-components (tau, phi, phitilde): the two-equation classical system, the
-four-equation stochastic system, and the two-equation specialization for
-deterministic ODEs (g == 0).  A vector field is a symmetry exactly when
-every residual vanishes identically.
+One builder produces the symbolic residuals in the generator components
+(tau, phi, phitilde): the four-equation stochastic system, its
+two-equation classical reduction (phitilde == 0) and its two-equation
+specialization for deterministic ODEs (g == 0).  A vector field is a
+symmetry exactly when every residual vanishes identically.
 """
 
 from __future__ import annotations
@@ -99,95 +99,54 @@ class DeterminingSystem:
 
     residuals: tuple
     unknowns: tuple = ()
-    free_vars: tuple = ("t", "x")
-    label: str = ""
-
-    def simplified(self) -> "DeterminingSystem":
-        return DeterminingSystem(
-            tuple(simplify(r) for r in self.residuals),
-            self.unknowns, self.free_vars, self.label)
 
     def is_identically_zero(self) -> bool:
         return all(simplify(r).is_zero() for r in self.residuals)
 
 
-def _check_tau(v: VectorField):
-    if not v.time_only_tau():
-        raise DeterminingError("tau must depend on t only in a determining system")
+def _ito(u: Expr, w: Expr) -> Expr:
+    """(1/2)*u_xx*w^2, the Ito term of u along w; 0, with u_xx never
+    formed, when w is the constant 0 (as phitilde in a classical system or
+    g for an ODE usually is)."""
+    if w.is_zero():
+        return ZERO
+    return mul(HALF, diff(diff(u, "x"), "x"), w, w)
 
 
-def classical_system(sde: Sde, v: VectorField) -> DeterminingSystem:
-    """Two residuals characterizing classical (deterministic-flow) symmetries.
-
-    R1 = f_t*tau + tau_t*f + f_x*phi - phi_t - phi_x*f - (1/2)*phi_xx*g^2
-    R2 = g_t*tau + (1/2)*tau_t*g + g_x*phi - phi_x*g
-    """
-    _check_tau(v)
-    if v.has_stochastic_part():
-        raise DeterminingError("classical system requires phitilde == 0")
-    f, g = sde.drift, sde.diffusion
-    tau, phi = v.tau, v.phi
-    r1 = (mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
-          - diff(phi, "t") - mul(diff(phi, "x"), f)
-          - mul(HALF, diff(diff(phi, "x"), "x"), g, g))
-    r2 = (mul(diff(g, "t"), tau) + mul(HALF, diff(tau, "t"), g)
-          + mul(diff(g, "x"), phi) - mul(diff(phi, "x"), g))
-    return DeterminingSystem((simplify(r1), simplify(r2)), label="classical")
-
-
-def stochastic_system(sde: Sde, v: VectorField) -> DeterminingSystem:
-    """Four residuals characterizing stochastic symmetries.
+def build_system(sde: Sde, v: VectorField, mode: str) -> DeterminingSystem:
+    """Residuals of the determining system; mode is 'classical',
+    'stochastic' or 'det-ode'.  The stochastic system has four rows:
 
     (i)   f_t*tau + tau_t*f + f_x*phi + (1/2)*f_xx*phitilde^2
             - phi_t - phi_x*f - (1/2)*phi_xx*g^2
     (ii)  f_x*phitilde - phitilde_t - phitilde_x*f - (1/2)*phitilde_xx*g^2
     (iii) g_t*tau + (1/2)*tau_t*g + g_x*phi + (1/2)*g_xx*phitilde^2 - phi_x*g
     (iv)  g_x*phitilde - phitilde_x*g
+
+    'classical' keeps (i) and (iii) and requires phitilde == 0; 'det-ode'
+    keeps (i) and (ii) and requires g == 0.  tau must depend on t only.
     """
-    _check_tau(v)
+    if mode not in ("classical", "stochastic", "det-ode"):
+        raise DeterminingError(f"unknown mode {mode!r}")
+    if not v.time_only_tau():
+        raise DeterminingError("tau must depend on t only in a determining system")
+    if mode == "classical" and v.has_stochastic_part():
+        raise DeterminingError("classical system requires phitilde == 0")
+    if mode == "det-ode" and not sde.is_deterministic():
+        raise DeterminingError("deterministic-ODE system requires g == 0")
     f, g = sde.drift, sde.diffusion
     tau, phi, pt = v.tau, v.phi, v.phitilde
-    r1 = (mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
-          + mul(HALF, diff(diff(f, "x"), "x"), pt, pt)
-          - diff(phi, "t") - mul(diff(phi, "x"), f)
-          - mul(HALF, diff(diff(phi, "x"), "x"), g, g))
-    r2 = (mul(diff(f, "x"), pt) - diff(pt, "t") - mul(diff(pt, "x"), f)
-          - mul(HALF, diff(diff(pt, "x"), "x"), g, g))
-    r3 = (mul(diff(g, "t"), tau) + mul(HALF, diff(tau, "t"), g)
-          + mul(diff(g, "x"), phi) + mul(HALF, diff(diff(g, "x"), "x"), pt, pt)
-          - mul(diff(phi, "x"), g))
-    r4 = mul(diff(g, "x"), pt) - mul(diff(pt, "x"), g)
-    return DeterminingSystem(
-        tuple(simplify(r) for r in (r1, r2, r3, r4)), label="stochastic")
-
-
-def deterministic_ode_system(sde: Sde, v: VectorField) -> DeterminingSystem:
-    """Stochastic-symmetry residuals specialized to a deterministic ODE (g == 0).
-
-    (i)  f_t*tau + tau_t*f + f_x*phi + (1/2)*f_xx*phitilde^2 - phi_t - phi_x*f
-    (ii) f_x*phitilde - phitilde_t - phitilde_x*f
-    """
-    _check_tau(v)
-    if not sde.is_deterministic():
-        raise DeterminingError("deterministic-ODE system requires g == 0")
-    f = sde.drift
-    tau, phi, pt = v.tau, v.phi, v.phitilde
-    r1 = (mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
-          + mul(HALF, diff(diff(f, "x"), "x"), pt, pt)
-          - diff(phi, "t") - mul(diff(phi, "x"), f))
-    r2 = mul(diff(f, "x"), pt) - diff(pt, "t") - mul(diff(pt, "x"), f)
-    return DeterminingSystem((simplify(r1), simplify(r2)), label="det-ode")
-
-
-def build_system(sde: Sde, v: VectorField, mode: str) -> DeterminingSystem:
-    """Dispatch on mode: 'classical' | 'stochastic' | 'det-ode'."""
-    if mode == "classical":
-        return classical_system(sde, v)
+    rows = [mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
+            + _ito(f, pt) - diff(phi, "t") - mul(diff(phi, "x"), f) - _ito(phi, g)]
+    if mode != "classical":
+        rows.append(mul(diff(f, "x"), pt) - diff(pt, "t") - mul(diff(pt, "x"), f)
+                    - _ito(pt, g))
+    if mode != "det-ode":
+        rows.append(mul(diff(g, "t"), tau) + mul(HALF, diff(tau, "t"), g)
+                    + mul(diff(g, "x"), phi) + _ito(g, pt) - mul(diff(phi, "x"), g))
     if mode == "stochastic":
-        return stochastic_system(sde, v)
-    if mode == "det-ode":
-        return deterministic_ode_system(sde, v)
-    raise DeterminingError(f"unknown mode {mode!r}")
+        rows.append(mul(diff(g, "x"), pt) - mul(diff(pt, "x"), g))
+    return DeterminingSystem(tuple(simplify(r) for r in rows))
 
 
 # residual indices of the subsystem involving only phitilde, per mode

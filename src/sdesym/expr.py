@@ -213,6 +213,13 @@ def mul(*factors) -> Expr:
     return Expr(PRODUCT, flat)
 
 
+def small_rational(v: float, max_den: int, rel_tol: float):
+    """The fraction with denominator <= max_den nearest v, or None when it
+    lies farther than rel_tol*max(1, |v|) from v."""
+    frac = Fraction(v).limit_denominator(max_den)
+    return frac if abs(float(frac) - v) <= rel_tol * max(1.0, abs(v)) else None
+
+
 def pow_(base, exponent) -> Expr:
     return Expr(POWER, (_coerce(base), _coerce(exponent)))
 
@@ -972,11 +979,7 @@ class _Parser:
                 acc = mul(acc, self.factor())
             elif tok[0] == "/":
                 self.tz.next()
-                rhs = self.factor()
-                if _is_int_const(acc) and _is_int_const(rhs) and rhs.value != 0:
-                    acc = const(Fraction(acc.value) / rhs.value)
-                else:
-                    acc = div(acc, rhs)
+                acc = div(acc, self.factor())
             else:
                 return acc
 

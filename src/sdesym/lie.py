@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determining import VectorField
-from .expr import ZERO, add, diff, finite_points, mul, simplify
+from .expr import ZERO, add, diff, finite_points, mul, simplify, small_rational
 
 MATCH_TOL = 1e-8
 CLOSURE_TOL = 1e-8
@@ -98,8 +98,9 @@ def structure_constants(basis, points, params=None,
                         tol: float = CLOSURE_TOL) -> StructureConstants:
     """Least-squares extraction of the commutator table on a grid.
 
-    Antisymmetry is enforced by averaging the (i, j) and (j, i) solves.
-    Raises ClosureError when a bracket is not expressible in the basis.
+    Each pair i < j is solved once; the (j, i) entries are the negated
+    (i, j) ones.  Raises ClosureError when a bracket is not expressible in
+    the basis.
     """
     params = dict(params or {})
     basis = list(basis)
@@ -109,18 +110,13 @@ def structure_constants(basis, points, params=None,
     c = np.zeros((n, n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = np.zeros((2, n))
-            for which, (a, b) in enumerate(((i, j), (j, i))):
-                br = bracket(basis[a], basis[b])
-                y = _features([br], points, params)[:, 0]
-                coef, *_ = np.linalg.lstsq(Phi, y, rcond=None)
-                resid = float(np.max(np.abs(Phi @ coef - y)))
-                if resid > tol * max(scale, float(np.max(np.abs(y), initial=0.0))):
-                    raise ClosureError(a, b, resid)
-                d[which] = coef
-            avg = (d[0] - d[1]) / 2.0
-            c[:, i, j] = avg
-            c[:, j, i] = -avg
+            y = _features([bracket(basis[i], basis[j])], points, params)[:, 0]
+            coef, *_ = np.linalg.lstsq(Phi, y, rcond=None)
+            resid = float(np.max(np.abs(Phi @ coef - y)))
+            if resid > tol * max(scale, float(np.max(np.abs(y), initial=0.0))):
+                raise ClosureError(i, j, resid)
+            c[:, i, j] = coef
+            c[:, j, i] = -coef
     c[np.abs(c) < 1e-12] = 0.0
     return StructureConstants(c, n)
 
@@ -279,21 +275,12 @@ def _normalize_rows(A, S, T, tol):
 
 def _snap_rational(A, S, T, tol):
     """Round entries to nearby small rationals when the residual allows."""
-    from fractions import Fraction
-
     trial = A.copy()
-    changed = False
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            v = A[i, j]
-            if v == 0.0:
-                continue
-            frac = Fraction(v).limit_denominator(64)
-            fv = float(frac)
-            if fv != v and abs(fv - v) <= 1e-6 * max(1.0, abs(v)):
-                trial[i, j] = fv
-                changed = True
-    if not changed:
+    for idx, v in np.ndenumerate(A):
+        frac = small_rational(v, 64, 1e-6)
+        if frac is not None and float(frac) != v:
+            trial[idx] = float(frac)
+    if np.array_equal(trial, A):
         return A
     resid = float(np.max(np.abs(_match_residual(trial, S, T))))
     if resid < tol and abs(np.linalg.det(trial)) > 1e-9:

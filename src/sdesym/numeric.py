@@ -356,6 +356,14 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class KSReport:
+    """Two-sample KS tests of two ensembles at the checkpoints.
+
+    `passed` holds when every checkpoint's p-value exceeds
+    p_threshold / len(checkpoints) (a Bonferroni correction), so that a pair
+    of ensembles with equal marginals fails at most a fraction p_threshold
+    of seeds, however many checkpoints are tested.
+    """
+
     checkpoints: tuple
     passed: bool
     seed: int
@@ -474,13 +482,12 @@ def _compare_ensembles(ens_a: PathEnsemble, ens_b: PathEnsemble,
     keep_a = ~ens_a.aborted
     keep_b = ~ens_b.aborted
     cps = []
-    ok = True
     for k in _checkpoint_indices(ens_a.n_steps):
         xa = ens_a.paths[keep_a, k]
         xb = ens_b.paths[keep_b, k]
         stat, p = ks_two_sample(xa, xb)
         cps.append(Checkpoint(float(ens_a.times[k]), stat, p, xa.size, xb.size))
-        ok &= p > p_threshold
+    ok = all(cp.p_value > p_threshold / len(cps) for cp in cps)
     return KSReport(tuple(cps), ok, ens_a.seed, ens_b.seed, ens_a.n_paths,
                     int(ens_a.aborted.sum() + ens_b.aborted.sum()),
                     p_threshold)

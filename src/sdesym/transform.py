@@ -42,6 +42,7 @@ from .expr import (
     mul,
     parameters_of,
     simplify,
+    small_rational,
     substitute,
     variables_of,
 )
@@ -133,8 +134,7 @@ def transformation_system(pairs: PairedSymmetries, mu1: Expr, mu2: Expr,
             psi_c, mul(-1, mul(mu2_t, tau)), mul(-1, mul(mu2_x, phi)),
             mul(-1, mul(HALF, mu2_xx, pt2)))))
         residuals.append(simplify(add(psit_c, mul(-1, mul(mu2_x, pt)))))
-    return DeterminingSystem(tuple(residuals), unknowns=tuple(unknowns),
-                             label="transform")
+    return DeterminingSystem(tuple(residuals), unknowns=tuple(unknowns))
 
 
 def _system_max_residual(pairs, tmap: TransformMap, points, params) -> float:
@@ -224,17 +224,12 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
 
 def _snap_coeffs(M, b, coeffs, budget):
     """Round coefficients to nearby small rationals when still feasible."""
-    from fractions import Fraction
-
     snapped = coeffs.copy()
-    changed = False
     for i, v in enumerate(coeffs):
-        frac = Fraction(float(v)).limit_denominator(4096)
-        fv = float(frac)
-        if fv != v and abs(fv - v) <= 1e-9 * max(1.0, abs(v)):
-            snapped[i] = fv
-            changed = True
-    if not changed:
+        frac = small_rational(float(v), 4096, 1e-9)
+        if frac is not None and float(frac) != v:
+            snapped[i] = float(frac)
+    if np.array_equal(snapped, coeffs):
         return coeffs
     if float(np.max(np.abs(M @ snapped + b))) <= max(budget, 1e-12):
         return snapped

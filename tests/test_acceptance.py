@@ -25,8 +25,6 @@ from sdesym.determining import (
     Sde,
     VectorField,
     build_system,
-    classical_system,
-    stochastic_system,
 )
 from sdesym.expr import ZERO, EvalError, diff, evaluate, parse, simplify
 from sdesym.lie import apply_match, bracket, match_basis, structure_constants
@@ -266,8 +264,8 @@ def test_criterion_9_property_suite(rng):
     lg = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
     for sde, params in ((BROWNIAN, {}), (lg, {"a": 1.0, "b": 1.0})):
         v = VectorField(p("t"), p("x^2 + 1"))
-        st = stochastic_system(sde, v)
-        cl = classical_system(sde, v)
+        st = build_system(sde, v, "stochastic")
+        cl = build_system(sde, v, "classical")
         assert st.residuals[0] == cl.residuals[0]
         assert st.residuals[2] == cl.residuals[1]
         assert st.residuals[1].is_zero() and st.residuals[3].is_zero()

@@ -254,6 +254,31 @@ def test_golden_text(capsys, name, argv, code):
     assert out == expected
 
 
+BAD_OPTIONS = [
+    ("--points", "0"), ("--points", "-1"), ("--paths", "0"), ("--paths", "-3"),
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--seed", "-1"),
+    ("--window", "a,b,c,d"), ("--window", "0,1,2"),
+]
+
+
+@pytest.mark.parametrize("option, value", BAD_OPTIONS,
+                         ids=[f"{o}={v}" for o, v in BAD_OPTIONS])
+def test_bad_option_exits_2(option, value, gen_file):
+    # a bad option is a usage error (exit 2), never a silent fallback to
+    # the problem's value or a traceback
+    command = ["symmetries", prob("brownian.prob")]
+    if option == "--paths":
+        command = ["verify-symmetry", prob("brownian.prob"),
+                   "--generator", gen_file("phi = 1\n")]
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-m", "sdesym.cli", option, value, *command],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and option in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cold_import_loads_no_scipy():
     # scipy.stats alone took most of a cold command's start-up; the runtime
     # needs numpy only, and scipy stays a test oracle

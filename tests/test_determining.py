@@ -7,9 +7,7 @@ from sdesym.determining import (
     DeterminingError,
     Sde,
     VectorField,
-    classical_system,
-    deterministic_ode_system,
-    stochastic_system,
+    build_system,
 )
 from sdesym.expr import add, evaluate, parse, simplify
 
@@ -61,32 +59,32 @@ def max_abs(system, params, points):
 
 class TestClassical:
     def test_brownian_scaling_generator(self):
-        ds = classical_system(BROWNIAN, VectorField(p("2*t"), p("x")))
+        ds = build_system(BROWNIAN, VectorField(p("2*t"), p("x")), "classical")
         assert ds.is_identically_zero()
 
     def test_zero_field(self):
-        assert classical_system(BROWNIAN, VectorField()).is_identically_zero()
+        assert build_system(BROWNIAN, VectorField(), "classical").is_identically_zero()
 
     def test_langevin_exponential_translation(self):
-        ds = classical_system(LANGEVIN, VectorField(phi=p("exp(a*t)")))
+        ds = build_system(LANGEVIN, VectorField(phi=p("exp(a*t)")), "classical")
         assert ds.is_identically_zero()
 
     def test_rejects_x_dependent_tau(self):
         with pytest.raises(DeterminingError):
-            classical_system(BROWNIAN, VectorField(tau=p("x")))
+            build_system(BROWNIAN, VectorField(tau=p("x")), "classical")
 
     def test_rejects_stochastic_part(self):
         with pytest.raises(DeterminingError):
-            classical_system(BROWNIAN, VectorField(phitilde=p("1")))
+            build_system(BROWNIAN, VectorField(phitilde=p("1")), "classical")
 
 
 class TestStochastic:
     def test_brownian_pure_stochastic_generator(self):
-        ds = stochastic_system(BROWNIAN, VectorField(phitilde=p("1")))
+        ds = build_system(BROWNIAN, VectorField(phitilde=p("1")), "stochastic")
         assert ds.is_identically_zero()
 
     def test_langevin_stochastic_generator(self):
-        ds = stochastic_system(LANGEVIN, VectorField(phitilde=p("exp(a*t)")))
+        ds = build_system(LANGEVIN, VectorField(phitilde=p("exp(a*t)")), "stochastic")
         assert simplify(ds.residuals[1]).is_zero()
         assert simplify(ds.residuals[3]).is_zero()
         assert ds.is_identically_zero()
@@ -96,8 +94,8 @@ class TestStochastic:
         # and rows (ii), (iv) vanish identically
         for sde in (BROWNIAN, LANGEVIN, AXINV):
             v = VectorField(p("2*t"), p("x + 1"))
-            st = stochastic_system(sde, v)
-            cl = classical_system(sde, v)
+            st = build_system(sde, v, "stochastic")
+            cl = build_system(sde, v, "classical")
             assert st.residuals[0] == cl.residuals[0]
             assert st.residuals[2] == cl.residuals[1]
             assert st.residuals[1].is_zero()
@@ -108,8 +106,8 @@ class TestStochastic:
         v = VectorField(p("t"), p("x^2"))
         for sde, params in ((BROWNIAN, {}), (LANGEVIN, {"a": 1.0, "b": 1.0}),
                             (AXINV, {"a": 1.0})):
-            st = stochastic_system(sde, v)
-            cl = classical_system(sde, v)
+            st = build_system(sde, v, "stochastic")
+            cl = build_system(sde, v, "classical")
             for t, x in points:
                 env = dict(params)
                 env["t"], env["x"] = t, x
@@ -122,25 +120,44 @@ class TestStochastic:
 class TestDeterministicOde:
     def test_requires_zero_diffusion(self):
         with pytest.raises(DeterminingError):
-            deterministic_ode_system(BROWNIAN, VectorField())
+            build_system(BROWNIAN, VectorField(), "det-ode")
 
     def test_constant_phitilde_on_trivial_ode(self):
         ode = Sde(p("0"), p("0"))
-        ds = deterministic_ode_system(ode, VectorField(phitilde=p("1")))
+        ds = build_system(ode, VectorField(phitilde=p("1")), "det-ode")
         assert ds.is_identically_zero()
-        ds_t = deterministic_ode_system(ode, VectorField(phitilde=p("t")))
+        ds_t = build_system(ode, VectorField(phitilde=p("t")), "det-ode")
         assert not simplify(ds_t.residuals[1]).is_zero()
 
     def test_linear_drift_exponential(self):
         ode = Sde(p("x"), p("0"))
-        ds = deterministic_ode_system(ode, VectorField(phitilde=p("exp(t)")))
+        ds = build_system(ode, VectorField(phitilde=p("exp(t)")), "det-ode")
         assert simplify(ds.residuals[1]).is_zero()
 
     def test_quadratic_drift_second_row(self):
         ode = Sde(p("x^2"), p("0"))
-        ds = deterministic_ode_system(ode, VectorField(phitilde=p("x^2")))
+        ds = build_system(ode, VectorField(phitilde=p("x^2")), "det-ode")
         # second row: f_x*pt - pt_t - pt_x*f = 2x*x^2 - 0 - 2x*x^2 = 0
         assert simplify(ds.residuals[1]).is_zero()
+
+
+ODE_DRIFTS = ("x^2", "a*x", "exp(t)*x", "a/x", "log(x) + t")
+ODE_FIELDS = (
+    VectorField(phitilde=p("x^2")),
+    VectorField(p("t"), p("x + 1"), p("exp(a*t)")),
+    VectorField(p("exp(2*a*t)"), p("t*x^3"), p("x^3 + t*x")),
+)
+
+
+@pytest.mark.parametrize("drift", ODE_DRIFTS)
+def test_det_ode_rows_are_stochastic_rows_at_zero_diffusion(drift):
+    # g == 0: the det-ode system is rows (i) and (ii) of the stochastic
+    # system, as Expr trees; rows (iii) and (iv) vanish identically
+    ode = Sde(p(drift), p("0"), {"a": 1.0})
+    for v in ODE_FIELDS:
+        st = build_system(ode, v, "stochastic")
+        assert build_system(ode, v, "det-ode").residuals == st.residuals[:2]
+        assert st.residuals[2].is_zero() and st.residuals[3].is_zero()
 
 
 class TestLinearity:
@@ -153,9 +170,9 @@ class TestLinearity:
         v12 = VectorField(add(v1.tau, v2.tau), add(v1.phi, v2.phi),
                           add(v1.phitilde, v2.phitilde))
         for sde, params in ((BROWNIAN, {"a": 1.0}), (LANGEVIN, {"a": 1.0, "b": 1.0})):
-            s1 = stochastic_system(sde, v1)
-            s2 = stochastic_system(sde, v2)
-            s12 = stochastic_system(sde, v12)
+            s1 = build_system(sde, v1, "stochastic")
+            s2 = build_system(sde, v2, "stochastic")
+            s12 = build_system(sde, v12, "stochastic")
             for t, x in points:
                 env = dict(params)
                 env["t"], env["x"] = t, x
@@ -175,7 +192,7 @@ class TestPublishedGenerators:
         ]
         for sde, gens, params in cases:
             for v in gens:
-                ds = stochastic_system(sde, v)
+                ds = build_system(sde, v, "stochastic")
                 assert max_abs(ds, params, points) < 1e-9, str(v)
 
 

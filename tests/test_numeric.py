@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdesym.ansatz import AnsatzError
-from sdesym.determining import Sde, VectorField, stochastic_system
+from sdesym.determining import Sde, VectorField, build_system
 from sdesym.expr import parse
 from sdesym.numeric import (
     FlowError,
@@ -80,19 +80,19 @@ class TestEulerMaruyama:
 
 class TestResidualCheck:
     def test_brownian_pure_stochastic_generator(self):
-        ds = stochastic_system(BROWNIAN, VectorField(phitilde=p("1")))
+        ds = build_system(BROWNIAN, VectorField(phitilde=p("1")), "stochastic")
         rep = residual_check(ds)
         assert rep.passed and rep.max_abs < 1e-12
 
     def test_time_drift_candidate_fails(self):
-        ds = stochastic_system(BROWNIAN, VectorField(phi=p("t")))
+        ds = build_system(BROWNIAN, VectorField(phi=p("t")), "stochastic")
         rep = residual_check(ds)
         assert not rep.passed
         assert rep.max_abs == pytest.approx(1.0)
 
     def test_wrong_phitilde_on_inverse_drift(self):
         sde = Sde(p("a/x"), p("1"), {"a": 1.0})
-        ds = stochastic_system(sde, VectorField(phitilde=p("1")))
+        ds = build_system(sde, VectorField(phitilde=p("1")), "stochastic")
         rep = residual_check(ds, {"a": 1.0}, window=(0.1, 2.0, 0.5, 2.0))
         assert not rep.passed
         # row (ii) = f_x * 1 = -a/x^2: largest magnitude near the window's
@@ -101,12 +101,12 @@ class TestResidualCheck:
         assert rep.max_abs >= rep.per_residual[1]
 
     def test_non_finite_everywhere_never_passes(self):
-        ds = stochastic_system(BROWNIAN, VectorField(phi=p("1e-12*(-x)^(1/2)")))
+        ds = build_system(BROWNIAN, VectorField(phi=p("1e-12*(-x)^(1/2)")), "stochastic")
         with pytest.raises(AnsatzError, match="could not sample"):
             residual_check(ds)
 
     def test_report_format(self):
-        ds = stochastic_system(BROWNIAN, VectorField(phitilde=p("1")))
+        ds = build_system(BROWNIAN, VectorField(phitilde=p("1")), "stochastic")
         text = residual_check(ds).to_kv()
         assert "residual.pass = true" in text
 
@@ -249,6 +249,19 @@ class TestVerifySymmetry:
         rep = verify_symmetry(lg, VectorField(phi=p("exp(a*t)")), 0.4,
                               x0=1.0, h=1e-3, K=600, n_paths=1500, seed=8)
         assert rep.passed
+
+    def test_exact_symmetry_passes_with_one_low_checkpoint(self):
+        # an exact symmetry (every residual is 0) whose first checkpoint
+        # falls below 0.01 by chance: the gate divides p_threshold by the
+        # number of checkpoints, so the four tests together refuse a true
+        # symmetry at most 1% of seeds
+        lg = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
+        rep = verify_symmetry(lg, VectorField(phi=p("exp(a*t)")), 0.2,
+                              x0=1.0, h=1e-3, K=1000, n_paths=2000, seed=42)
+        assert len(rep.checkpoints) == 4
+        assert rep.p_threshold / 4 < rep.checkpoints[0].p_value < rep.p_threshold
+        assert rep.passed
+        assert "p_threshold = 0.01" in rep.to_kv()
 
 
 class TestVerifyMap:
