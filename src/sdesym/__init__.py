@@ -1,6 +1,6 @@
 """Symbolic-numeric Lie symmetry analysis for scalar Ito SDEs."""
 
-from .expr import Expr, parse, diff, substitute, evaluate, simplify, to_str
+from .expr import Expr, parse, diff, substitute, simplify, to_str
 from .determining import (
     Sde,
     VectorField,
@@ -12,7 +12,6 @@ from .lie import StructureConstants, BasisMatch, bracket, structure_constants, m
 from .transform import TransformMap, PairedSymmetries, transformation_system, solve_map
 from .numeric import (
     PathEnsemble,
-    FlowMap,
     euler_maruyama,
     residual_check,
     flow_apply,
@@ -21,12 +20,12 @@ from .numeric import (
 )
 
 __all__ = [
-    "Expr", "parse", "diff", "substitute", "evaluate", "simplify", "to_str",
+    "Expr", "parse", "diff", "substitute", "simplify", "to_str",
     "Sde", "VectorField", "DeterminingSystem", "build_system",
     "Ansatz", "SymmetryBasis", "nullspace", "solve_symmetries",
     "StructureConstants", "BasisMatch", "bracket", "structure_constants", "match_basis",
     "TransformMap", "PairedSymmetries", "transformation_system", "solve_map",
-    "PathEnsemble", "FlowMap", "euler_maruyama", "residual_check",
+    "PathEnsemble", "euler_maruyama", "residual_check",
     "flow_apply", "verify_symmetry", "verify_map",
 ]
 

@@ -344,26 +344,6 @@ def max_residual(sde: Sde, v: VectorField, mode: str, points, params) -> float:
     return float(_max_abs(evaluate_points(system.residuals, points, params)))
 
 
-def express_in_basis(generators, target: VectorField, points, params):
-    """Least-squares coordinates of `target` in the generator span.
-
-    Returns (coeffs, relative residual in max norm on the grid).
-    """
-    if generators:
-        F = np.column_stack([_field_features(g, points, params) for g in generators])
-    else:
-        F = np.zeros((3 * len(points), 0))
-    y = _field_features(target, points, params)
-    if F.shape[1] == 0:
-        coeffs = np.zeros(0)
-        resid = y
-    else:
-        coeffs, *_ = np.linalg.lstsq(F, y, rcond=None)
-        resid = F @ coeffs - y
-    scale = max(1.0, float(np.max(np.abs(y))))
-    return coeffs, float(np.max(np.abs(resid))) / scale
-
-
 def _is_numerically_zero(e: Expr, points, params, tol=1e-12) -> bool:
     e = simplify(e)
     return e.is_zero() or _max_abs(evaluate_points([e], points, params)) <= tol

@@ -314,6 +314,7 @@ def _option(convert, ok, what):
 _SEED = _option(int, lambda v: v >= 0, "an integer >= 0")
 _COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
 _TOL = _option(float, lambda v: 0 < v < math.inf, "a finite float > 0")
+_EPS = _option(float, lambda v: v != 0 and math.isfinite(v), "a finite nonzero float")
 _WINDOW = _option(lambda text: tuple(float(v) for v in text.split(",")),
                   lambda v: len(v) == 4 and all(map(math.isfinite, v)),
                   "four finite floats t0,t1,x0,x1")
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify-symmetry", help="certify a candidate generator")
     s.add_argument("problem")
     s.add_argument("--generator", required=True, help="file with tau/phi/phitilde")
-    s.add_argument("--eps", type=float, default=None, help="flow parameter")
+    s.add_argument("--eps", type=_EPS, default=None, help="flow parameter")
     s.set_defaults(fn=cmd_verify_symmetry)
 
     s = sub.add_parser("verify-map", help="certify a candidate map")

@@ -3,8 +3,8 @@
 Expression trees over a closed alphabet of node kinds: rational/float
 constants, named variables and parameters, n-ary sums and products, powers,
 quotients, exp, log, and negation.  Supports parsing, printing, exact
-differentiation, simultaneous substitution, scalar and vectorized numeric
-evaluation, and rule-based simplification to a canonical form.
+differentiation, simultaneous substitution, vectorized numeric evaluation
+(`compile_fn`), and rule-based simplification to a canonical form.
 
 Trees are immutable and hashable; all operations are pure functions.
 """
@@ -61,12 +61,6 @@ class UnboundSymbolError(EvalError):
     def __init__(self, name: str):
         super().__init__(f"unbound symbol '{name}'")
         self.name = name
-
-
-class DomainError(EvalError):
-    def __init__(self, reason: str, offending: "Expr"):
-        super().__init__(f"{reason} in subexpression '{offending}'")
-        self.offending = offending
 
 
 class Expr:
@@ -359,120 +353,84 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def evaluate(e: Expr, point: Mapping[str, float]) -> float:
-    """Evaluate at a point binding every variable and parameter by name."""
-    k = e.kind
-    if k == CONST:
-        return float(e.value)
-    if k in (VAR, PARAM):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise UnboundSymbolError(e.name) from None
-    if k == SUM:
-        return math.fsum(evaluate(c, point) for c in e.children)
-    if k == PRODUCT:
-        r = 1.0
-        for c in e.children:
-            r *= evaluate(c, point)
-        return r
-    if k == QUOTIENT:
-        num = evaluate(e.children[0], point)
-        den = evaluate(e.children[1], point)
-        if den == 0.0:
-            raise DomainError("division by zero", e)
-        return num / den
-    if k == POWER:
-        b = evaluate(e.children[0], point)
-        p = evaluate(e.children[1], point)
-        try:
-            r = b ** p
-        except ZeroDivisionError:
-            raise DomainError("zero raised to a negative power", e) from None
-        except OverflowError:
-            raise DomainError("overflow in power", e) from None
-        if isinstance(r, complex):
-            raise DomainError("negative base with fractional exponent", e)
-        return float(r)
-    if k == EXP:
-        u = evaluate(e.children[0], point)
-        try:
-            return math.exp(u)
-        except OverflowError:
-            raise DomainError("overflow in exp", e) from None
-    if k == LOG:
-        u = evaluate(e.children[0], point)
-        if u <= 0.0:
-            raise DomainError("log of a non-positive value", e)
-        return math.log(u)
-    if k == NEG:
-        return -evaluate(e.children[0], point)
-    raise ExprError(f"cannot evaluate node kind {k!r}")
-
-
 def compile_fn(e: Expr, names: Sequence[str],
                bindings: Mapping[str, float] | None = None) -> Callable:
     """Compile e into a numpy-vectorized callable of positional arrays.
 
     `names` lists the runtime arguments in order; any remaining symbols must
     appear in `bindings`.  Domain violations produce nan/inf rather than
-    raising (callers mask non-finite results).
+    raising (callers mask non-finite results).  A subexpression without
+    runtime arguments is folded once, on numpy scalars, so that this holds
+    for it too.
     """
     index = {n: i for i, n in enumerate(names)}
     bindings = dict(bindings or {})
 
     def build(node):
+        """A callable of the argument tuple, or a float when `node` has no
+        runtime argument."""
         k = node.kind
         if k == CONST:
-            v = float(node.value)
-            return lambda args: v
+            return float(node.value)
         if k in (VAR, PARAM):
             if node.name in index:
                 i = index[node.name]
                 return lambda args: args[i]
             if node.name in bindings:
-                v = float(bindings[node.name])
-                return lambda args: v
+                return float(bindings[node.name])
             raise UnboundSymbolError(node.name)
-        fns = [build(c) for c in node.children]
-        if k == SUM:
-            def _sum(args, fns=fns):
-                r = fns[0](args)
-                for f in fns[1:]:
-                    r = r + f(args)
-                return r
-            return _sum
-        if k == PRODUCT:
-            def _prod(args, fns=fns):
-                r = fns[0](args)
-                for f in fns[1:]:
-                    r = r * f(args)
-                return r
-            return _prod
-        if k == QUOTIENT:
-            fa, fb = fns
-            return lambda args: fa(args) / fb(args)
-        if k == POWER:
-            fb, fp = fns
-            return lambda args: fb(args) ** fp(args)
-        if k == EXP:
-            (fu,) = fns
-            return lambda args: np.exp(fu(args))
-        if k == LOG:
-            (fu,) = fns
-            return lambda args: np.log(fu(args))
-        if k == NEG:
-            (fu,) = fns
-            return lambda args: -fu(args)
-        raise ExprError(f"cannot compile node kind {k!r}")
+        parts = [build(c) for c in node.children]
+        if any(map(callable, parts)):
+            return _node_fn(k, [p if callable(p) else (lambda args, v=p: v)
+                                for p in parts])
+        # Python floats raise where numpy scalars give inf or nan
+        fn = _node_fn(k, [lambda args, v=np.float64(p): v for p in parts])
+        return float(fn(()))
 
-    fn = build(e)
+    with np.errstate(all="ignore"):
+        fn = build(e)
+    if not callable(fn):
+        fn = (lambda args, v=fn: v)
 
     def compiled(*args):
         with np.errstate(all="ignore"):
             return fn(args)
 
     return compiled
+
+
+def _node_fn(kind: str, fns) -> Callable:
+    """The callable of a node of this kind over its children's callables."""
+    if kind == SUM:
+        def _sum(args):
+            r = fns[0](args)
+            for f in fns[1:]:
+                r = r + f(args)
+            return r
+        return _sum
+    if kind == PRODUCT:
+        def _prod(args):
+            r = fns[0](args)
+            for f in fns[1:]:
+                r = r * f(args)
+            return r
+        return _prod
+    if kind == QUOTIENT:
+        fa, fb = fns
+        return lambda args: fa(args) / fb(args)
+    if kind == POWER:
+        fb, fp = fns
+        return lambda args: fb(args) ** fp(args)
+    if kind == EXP:
+        (fu,) = fns
+        return lambda args: np.exp(fu(args))
+    if kind == LOG:
+        (fu,) = fns
+        return lambda args: np.log(fu(args))
+    if kind == NEG:
+        (fu,) = fns
+        return lambda args: -fu(args)
+    raise ExprError(f"cannot compile node kind {kind!r}")
 
 
 def evaluate_points(exprs: Sequence[Expr], points,
@@ -499,22 +457,51 @@ def finite_points(exprs: Sequence[Expr], points,
                   extra: Sequence[str] = ()) -> np.ndarray:
     """`evaluate_points`, raising EvalError at the first non-finite entry.
 
-    The scalar reference `evaluate` explains the failure: the message names
-    the point and, for a domain error, the offending subexpression.
+    The message names the point and explains the value.  From the failing
+    expression it walks down, at that point, into the first non-finite
+    operand until it reaches a subexpression whose operands are finite; a
+    domain error there (division by zero, log of a non-positive value,
+    overflow, ...) is named together with that subexpression.  Otherwise
+    (an overflowing sum, say) the message gives the expression's value.
     """
     values = evaluate_points(exprs, points, bindings, extra)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
         point = np.asarray(points, dtype=float).reshape(values.shape[0], -1)[i]
-        env = {**(bindings or {}), **dict(zip(("t", "x", *extra), point.tolist()))}
-        try:
-            reason = f"non-finite value {evaluate(exprs[j], env)} of '{exprs[j]}'"
-        except EvalError as err:
-            reason = str(err)
-        raise EvalError(
-            f"evaluation failed at point (t={env['t']}, x={env['x']}): {reason}")
+        reason = f"non-finite value {float(values[i, j])} of '{exprs[j]}'"
+        node = exprs[j]
+        while node.children:
+            ops = evaluate_points(node.children, point, bindings, extra)[0]
+            worse = np.flatnonzero(~np.isfinite(ops))
+            if worse.size:
+                node = node.children[worse[0]]
+                continue
+            why = _domain_error(node.kind, ops.tolist())
+            if why:
+                reason = f"{why} in subexpression '{node}'"
+            break
+        t, x = point[:2].tolist()
+        raise EvalError(f"evaluation failed at point (t={t}, x={x}): {reason}")
     return values
+
+
+def _domain_error(kind: str, ops) -> str | None:
+    """Why a node of this kind is non-finite on finite operand values."""
+    a, b = ops[0], ops[-1]
+    if kind == QUOTIENT and b == 0.0:
+        return "division by zero"
+    if kind == POWER:
+        if a == 0.0 and b < 0.0:
+            return "zero raised to a negative power"
+        if a < 0.0 and b != math.floor(b):
+            return "negative base with fractional exponent"
+        return "overflow in power"
+    if kind == EXP:
+        return "overflow in exp"
+    if kind == LOG and a <= 0.0:
+        return "log of a non-positive value"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,14 @@ class FlowError(NumericError):
 class PathEnsemble:
     """Simulated paths on a strictly increasing time grid.
 
-    `increments` holds the Wiener increments that drove each step (retained
-    so time-change transforms can be audited); `aborted` flags paths that
-    hit a singularity or left the float range.  Simulated ensembles store
-    their states step-major, so `paths` and `increments` are transposed
-    views of contiguous (K+1, n_paths) and (K, n_paths) arrays.
+    `aborted` flags paths that hit a singularity or left the float range.
+    Simulated ensembles store their states step-major, so `paths` is a
+    transposed view of a contiguous (K+1, n_paths) array.  The Wiener
+    increments that drove the steps are not kept.
     """
 
     times: np.ndarray        # (K+1,)
     paths: np.ndarray        # (n_paths, K+1)
-    increments: np.ndarray   # (n_paths, K)
     seed: int
     aborted: np.ndarray      # (n_paths,) bool
 
@@ -84,7 +82,8 @@ def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
     normals = rng.standard_normal((n_paths, K))
     steps = np.diff(times)
     # step-major storage: row k holds every path at times[k], so each step
-    # reads and writes contiguous memory
+    # reads and writes contiguous memory; the increments dW are freed on
+    # return
     dW = np.empty((K, n_paths))
     np.multiply(normals.T, np.sqrt(steps)[:, None], out=dW)
     del normals
@@ -102,7 +101,7 @@ def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
             np.add(nxt, tmp, out=nxt)
             aborted |= ~np.isfinite(nxt)
             nxt[aborted] = np.nan
-    return PathEnsemble(times, X.T, dW.T, seed, aborted)
+    return PathEnsemble(times, X.T, seed, aborted)
 
 
 def euler_maruyama(sde: Sde, x0: float, h: float, K: int,
@@ -254,63 +253,14 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
                 np.add(Fb, acc, out=Fb)
 
 
-@dataclass(frozen=True)
-class FlowMap:
-    """Flow of a deterministic generator at parameter eps.
-
-    beta(t) is the new time, F(t, x) the new state, alpha the inverse of
-    beta, and eta_sq = d(beta)/dt the squared time-change density (computed
-    from the variational equation, not by differencing beta).
-    """
-
-    eps: float
-    field: VectorField
-    params: dict
-    n_sub: int = 64
-
-    def beta(self, t):
-        return _flow_integrate(self.field, self.params, self.eps,
-                               self.n_sub, np.asarray(t, dtype=float))[0]
-
-    def eta_sq(self, t):
-        return _flow_integrate(self.field, self.params, self.eps,
-                               self.n_sub, np.asarray(t, dtype=float))[1]
-
-    def F(self, t, x):
-        tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                     np.asarray(x, dtype=float))
-        return _flow_integrate(self.field, self.params, self.eps,
-                               self.n_sub, tb, xb)[2]
-
-    def alpha(self, s, bracket_width: float = 16.0, tol: float = 1e-12):
-        """Inverse of beta in t by bisection (beta is strictly increasing)."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
-        for i, sv in enumerate(s_arr):
-            lo, hi = -bracket_width, bracket_width
-            b_ends = self.beta(np.array([lo, hi]))
-            if not (b_ends[0] < sv < b_ends[1]):
-                raise FlowError(f"alpha: target time {sv} outside bracket")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if float(self.beta(np.array([mid]))[0]) < sv:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < tol:
-                    break
-            out[i] = 0.5 * (lo + hi)
-        return out if np.ndim(s) else float(out[0])
-
-
 def flow_apply(ens: PathEnsemble, v: VectorField, eps: float,
                params=None, n_sub: int = 64):
     """Transport an ensemble along the flow of a deterministic generator.
 
     Integrates d(beta)/dr = tau(beta), dF/dr = phi(beta, F) from r = 0 to
     eps (RK4 with `n_sub` substeps plus a step-halving convergence check on
-    a path subsample) and returns (FlowMap, transformed ensemble) on the
-    image time grid beta(t_k).
+    a path subsample) and returns the transformed ensemble on the image
+    time grid beta(t_k).
     """
     if v.has_stochastic_part():
         raise FlowError("flow_apply handles deterministic generators only "
@@ -337,9 +287,7 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float,
         raise FlowError("time change lost monotonicity at this eps")
     aborted = ens.aborted | ~np.all(np.isfinite(newX), axis=1)
     newX[aborted] = np.nan
-    out = PathEnsemble(beta, newX, ens.increments, ens.seed, aborted)
-    fm = FlowMap(eps, v, params, n_sub=n_sub)
-    return fm, out
+    return PathEnsemble(beta, newX, ens.seed, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +453,9 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     the image time grid.
     """
     ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
-    fm, moved = flow_apply(ens, v, eps, params=sde.bound_params())
-    y0 = float(fm.F(ens.times[0], x0))
+    params = sde.bound_params()
+    moved = flow_apply(ens, v, eps, params=params)
+    y0 = float(_flow_integrate(v, params, eps, 64, ens.times[0], x0)[2])
     fresh = _simulate_on_grid(sde, y0, moved.times, n_paths,
                               seed + FRESH_SEED_OFFSET)
     return _compare_ensembles(moved, fresh, p_threshold)
@@ -538,7 +487,7 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
         Y = np.asarray(mu2(t_mat, ens.paths), dtype=float)
     aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
     moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
-                         ens.increments, ens.seed, aborted)
+                         ens.seed, aborted)
     y0 = float(np.asarray(mu2(ens.times[0], x0), dtype=float))
     fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
                               seed + FRESH_SEED_OFFSET)

@@ -14,6 +14,7 @@ as a single dictionary entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -229,7 +230,9 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
         elif key in ("seed", "points", "paths", "steps"):
             pf.numeric[key] = int(_parse_value(value))
         else:
-            pf.numeric[key] = _parse_value(value)
+            pf.numeric[key] = v = _parse_value(value)
+            if key == "eps" and not (v != 0 and math.isfinite(v)):
+                raise ProblemError(f"{where}: eps must be a finite nonzero number")
     return pf
 
 

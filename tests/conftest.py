@@ -1,5 +1,6 @@
 """Shared test helpers: independent oracles and random expression trees."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,89 @@ import pytest
 import sympy as sp
 
 from sdesym import expr as ex
+from sdesym.ansatz import _field_features
+
+
+# ---------------------------------------------------------------------------
+# scalar tree walk (reference evaluator for compile_fn)
+
+class DomainError(ex.EvalError):
+    def __init__(self, reason: str, offending):
+        super().__init__(f"{reason} in subexpression '{offending}'")
+        self.offending = offending
+
+
+def evaluate(e, point):
+    """Evaluate at a point binding every variable and parameter by name,
+    one Python float operation per node; raises DomainError at the first
+    node (children left to right, then the node) that has no real value."""
+    k = e.kind
+    if k == ex.CONST:
+        return float(e.value)
+    if k in (ex.VAR, ex.PARAM):
+        try:
+            return float(point[e.name])
+        except KeyError:
+            raise ex.UnboundSymbolError(e.name) from None
+    if k == ex.SUM:
+        return math.fsum(evaluate(c, point) for c in e.children)
+    if k == ex.PRODUCT:
+        r = 1.0
+        for c in e.children:
+            r *= evaluate(c, point)
+        return r
+    if k == ex.QUOTIENT:
+        num = evaluate(e.children[0], point)
+        den = evaluate(e.children[1], point)
+        if den == 0.0:
+            raise DomainError("division by zero", e)
+        return num / den
+    if k == ex.POWER:
+        b = evaluate(e.children[0], point)
+        p = evaluate(e.children[1], point)
+        try:
+            r = b ** p
+        except ZeroDivisionError:
+            raise DomainError("zero raised to a negative power", e) from None
+        except OverflowError:
+            raise DomainError("overflow in power", e) from None
+        if isinstance(r, complex):
+            raise DomainError("negative base with fractional exponent", e)
+        return float(r)
+    if k == ex.EXP:
+        u = evaluate(e.children[0], point)
+        try:
+            return math.exp(u)
+        except OverflowError:
+            raise DomainError("overflow in exp", e) from None
+    if k == ex.LOG:
+        u = evaluate(e.children[0], point)
+        if u <= 0.0:
+            raise DomainError("log of a non-positive value", e)
+        return math.log(u)
+    if k == ex.NEG:
+        return -evaluate(e.children[0], point)
+    raise ex.ExprError(f"cannot evaluate node kind {k!r}")
+
+
+def express_in_basis(generators, target, points, params):
+    """Least-squares coordinates of `target` in the generator span.
+
+    Returns (coeffs, relative residual in max norm on the grid).
+    """
+    if generators:
+        F = np.column_stack([_field_features(g, points, params) for g in generators])
+    else:
+        F = np.zeros((3 * len(points), 0))
+    y = _field_features(target, points, params)
+    if F.shape[1] == 0:
+        coeffs = np.zeros(0)
+        resid = y
+    else:
+        coeffs, *_ = np.linalg.lstsq(F, y, rcond=None)
+        resid = F @ coeffs - y
+    scale = max(1.0, float(np.max(np.abs(y))))
+    return coeffs, float(np.max(np.abs(resid))) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from sdesym.ansatz import (
     _linear_combo,
     _singularity_guards,
     build_linear_system,
-    express_in_basis,
     max_residual,
     nullspace,
     sample_points,
@@ -26,10 +25,10 @@ from sdesym.determining import (
     VectorField,
     build_system,
 )
-from sdesym.expr import ZERO, evaluate, parse, simplify
+from sdesym.expr import ZERO, parse, simplify
 from sdesym.problem import load_problem
 
-from conftest import collection_nullspace_dim
+from conftest import collection_nullspace_dim, evaluate, express_in_basis
 
 P = ("a", "b")
 
@@ -364,7 +363,6 @@ class TestSolveSymmetries:
         g = basis.generators[0]
         ratio = simplify(g.phitilde)
         env = {"a": 1.0, "b": 1.0, "t": 0.8, "x": 1.1}
-        from sdesym.expr import evaluate
         import math as _m
         assert evaluate(ratio, env) == pytest.approx(_m.exp(0.8), rel=1e-9)
 

@@ -90,6 +90,32 @@ class TestSymmetries:
         assert code == 3
         assert "dependent" in err
 
+    def test_overflowing_dictionary_entry_exit_2(self, tmp_path):
+        # the entry overflows to inf in a sum with finite terms; the error
+        # names the point and the entry, and no traceback escapes
+        path = tmp_path / "ovf.prob"
+        path.write_text(
+            "[declare]\nvar t\nvar x\n\n[sde]\ndrift = 0\ndiffusion = 1\n\n"
+            "[ansatz]\ntau = poly(t;1)\nphi = x + (1e308*x + 1e308*t)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-m", "sdesym.cli", "--mode",
+                               "classical", "symmetries", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error: evaluation failed at point" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_constant_division_by_zero_is_no_crash(self, capsys, tmp_path):
+        # 1/(1 - 1) has no arguments; compile_fn still gives inf, so every
+        # sample point is rejected rather than a ZeroDivisionError raised
+        path = tmp_path / "divz.prob"
+        path.write_text(
+            "[declare]\nvar t\nvar x\n\n[sde]\ndrift = x + 1/(1 - 1)\n"
+            "diffusion = 1\n\n[ansatz]\ntau = poly(t;1)\nphi = poly(x;1)\n")
+        code, _, err = run(capsys, "symmetries", str(path))
+        assert code == 3
+        assert "could not sample" in err
+
     def test_golden_stability(self, capsys):
         outputs = set()
         for _ in range(2):
@@ -258,6 +284,7 @@ BAD_OPTIONS = [
     ("--points", "0"), ("--points", "-1"), ("--paths", "0"), ("--paths", "-3"),
     ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--seed", "-1"),
     ("--window", "a,b,c,d"), ("--window", "0,1,2"),
+    ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
 ]
 
 
@@ -267,11 +294,13 @@ def test_bad_option_exits_2(option, value, gen_file):
     # a bad option is a usage error (exit 2), never a silent fallback to
     # the problem's value or a traceback
     command = ["symmetries", prob("brownian.prob")]
-    if option == "--paths":
+    if option in ("--paths", "--eps"):
         command = ["verify-symmetry", prob("brownian.prob"),
                    "--generator", gen_file("phi = 1\n")]
+    # --eps is an option of the verify-symmetry subcommand, the rest are global
+    argv = [*command, option, value] if option == "--eps" else [option, value, *command]
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    proc = subprocess.run([sys.executable, "-m", "sdesym.cli", option, value, *command],
+    proc = subprocess.run([sys.executable, "-m", "sdesym.cli", *argv],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and option in proc.stderr

@@ -9,7 +9,9 @@ from sdesym.determining import (
     VectorField,
     build_system,
 )
-from sdesym.expr import add, evaluate, parse, simplify
+from sdesym.expr import add, parse, simplify
+
+from conftest import evaluate
 
 P = ("a", "b")
 

@@ -9,19 +9,17 @@ import sympy as sp
 
 from sdesym import expr as ex
 from sdesym.expr import (
-    DomainError,
     ParseError,
     UnboundSymbolError,
     UnknownSymbolError,
     diff,
-    evaluate,
     parse,
     simplify,
     substitute,
     to_str,
 )
 
-from conftest import horner, random_expr, random_point, to_sympy
+from conftest import DomainError, evaluate, horner, random_expr, random_point, to_sympy
 
 PARAMS = ("a", "b", "alpha", "beta", "c1", "c3")
 
@@ -226,6 +224,37 @@ class TestEvaluate:
         with pytest.raises(ex.EvalError, match=r"at point \(t=0.5, x=1.0\): division "
                                                r"by zero in subexpression 'a/\(x - 1\)'"):
             ex.finite_points(exprs, points, {"a": 1.0})
+        # a sum that overflows has no domain error to name; numpy gives inf
+        # where a scalar fsum raises OverflowError
+        with pytest.raises(ex.EvalError, match=r"at point \(t=1.5, x=1.5\): non-finite "
+                                               r"value inf of '1e\+308\*x \+ 1e\+308\*t'"):
+            ex.finite_points([p("1e308*x + 1e308*t")], [(1.5, 1.5)])
+
+    def test_explanation_matches_scalar_domain_error(self, rng):
+        # points where random trees hit their singularities: x = 0 for
+        # log(x) and /x, t = -1 for /(t + 1), t = -2 for log(t + 2); a
+        # power or exp on top adds the other domain errors
+        tops = (lambda u: u,
+                lambda u: ex.pow_(u, ex.const(Fraction(1, 2))),
+                lambda u: ex.pow_(u, ex.const(-1)),
+                lambda u: ex.pow_(u, ex.const(3000.0)),
+                lambda u: ex.exp(ex.mul(ex.const(800), u)))
+        checked = set()
+        for _ in range(600):
+            e = tops[rng.integers(len(tops))](random_expr(rng, 4))
+            t = float((-2.0, -1.0, 0.5)[rng.integers(3)])
+            x = float((0.0, -0.5, 1.3)[rng.integers(3)])
+            if np.all(np.isfinite(ex.evaluate_points([e], [(t, x)], {"a": 0.8}))):
+                continue
+            try:
+                evaluate(e, {"t": t, "x": x, "a": 0.8})
+            except DomainError as err:
+                with pytest.raises(ex.EvalError) as got:
+                    ex.finite_points([e], [(t, x)], {"a": 0.8})
+                assert str(got.value) == (
+                    f"evaluation failed at point (t={t}, x={x}): {err}"), to_str(e)
+                checked.add(str(err).split(" in subexpression")[0])
+        assert len(checked) == 6
 
     def test_compile_matches_scalar(self, rng):
         for _ in range(40):

@@ -7,7 +7,7 @@ import pytest
 
 from sdesym.ansatz import sample_points
 from sdesym.determining import VectorField
-from sdesym.expr import evaluate, parse, simplify
+from sdesym.expr import parse, simplify
 from sdesym.lie import (
     ClosureError,
     LieError,
@@ -18,6 +18,8 @@ from sdesym.lie import (
     match_basis,
     structure_constants,
 )
+
+from conftest import evaluate
 
 PA = ("alpha", "beta")
 

@@ -10,8 +10,8 @@ from sdesym.determining import Sde, VectorField, build_system
 from sdesym.expr import parse
 from sdesym.numeric import (
     FlowError,
-    FlowMap,
     NumericError,
+    _flow_integrate,
     _kolmogorov_sf,
     euler_maruyama,
     flow_apply,
@@ -52,7 +52,6 @@ class TestEulerMaruyama:
         a = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
         b = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
         assert np.array_equal(a.paths, b.paths)
-        assert np.array_equal(a.increments, b.increments)
         c = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=4)
         assert not np.array_equal(a.paths, c.paths)
 
@@ -60,7 +59,6 @@ class TestEulerMaruyama:
         # path i's increments depend on (seed, i, K), not on n_paths
         few = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 8, seed=3)
         many = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
-        assert np.array_equal(few.increments, many.increments[:8])
         assert np.array_equal(few.paths, many.paths[:8])
 
     def test_singularity_aborts_paths(self):
@@ -114,45 +112,40 @@ class TestResidualCheck:
 class TestFlow:
     def test_time_translation(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 100, 32, seed=3)
-        fm, moved = flow_apply(ens, VectorField(tau=p("1")), 0.3)
+        moved = flow_apply(ens, VectorField(tau=p("1")), 0.3)
         assert np.max(np.abs(moved.times - (ens.times + 0.3))) < 1e-10
         assert np.max(np.abs(moved.paths - ens.paths)) == 0.0
 
     def test_scaling_flow_closed_form(self):
         ens = euler_maruyama(BROWNIAN, 0.4, 1e-2, 100, 32, seed=3)
         v = VectorField(p("2*t"), p("x"))
-        fm, moved = flow_apply(ens, v, 0.2)
+        moved = flow_apply(ens, v, 0.2)
         assert np.max(np.abs(moved.times - np.exp(0.4) * ens.times)) < 1e-9
         assert np.max(np.abs(moved.paths - np.exp(0.2) * ens.paths)) < 1e-9
 
     def test_eps_zero_identity(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 16, seed=9)
-        _, moved = flow_apply(ens, VectorField(p("2*t"), p("x")), 0.0)
+        moved = flow_apply(ens, VectorField(p("2*t"), p("x")), 0.0)
         assert np.array_equal(moved.paths, ens.paths)
         assert np.array_equal(moved.times, ens.times)
 
     def test_invertibility(self):
         ens = euler_maruyama(BROWNIAN, 0.2, 1e-2, 80, 24, seed=13)
         v = VectorField(p("2*t"), p("x"))
-        _, fwd = flow_apply(ens, v, 0.35)
-        _, back = flow_apply(fwd, v, -0.35)
+        fwd = flow_apply(ens, v, 0.35)
+        back = flow_apply(fwd, v, -0.35)
         assert np.max(np.abs(back.paths - ens.paths)) < 1e-6
         assert np.max(np.abs(back.times - ens.times)) < 1e-6
 
     def test_eta_sq_equals_dbeta_dt(self):
-        fm = FlowMap(0.2, VectorField(p("2*t"), p("x")), {})
+        # J, the variational factor, is the squared time-change density
+        v = VectorField(p("2*t"), p("x"))
         for t in (0.1, 0.8, 1.7):
-            eta2 = float(fm.eta_sq(np.array([t]))[0])
+            eta2 = float(_flow_integrate(v, {}, 0.2, 64, np.array([t]))[1][0])
             d = 1e-5
-            ends = fm.beta(np.array([t - d, t + d]))
+            ends = _flow_integrate(v, {}, 0.2, 64, np.array([t - d, t + d]))[0]
             fd = float(ends[1] - ends[0]) / (2 * d)
             assert abs(eta2 - fd) <= 1e-5 * max(1.0, abs(fd))
-
-    def test_alpha_inverts_beta(self):
-        fm = FlowMap(0.15, VectorField(p("2*t"), p("x")), {})
-        for t in (0.3, 1.1):
-            s = float(fm.beta(np.array([t]))[0])
-            assert fm.alpha(s) == pytest.approx(t, abs=1e-9)
 
     def test_rejects_stochastic_generator(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 10, 4, seed=1)

@@ -14,7 +14,6 @@ from sdesym.expr import compile_fn, diff, parse
 from sdesym.numeric import (
     _FLOW_BLOCK_CELLS,
     FlowError,
-    FlowMap,
     NumericError,
     _flow_integrate,
     _simulate_on_grid,
@@ -54,7 +53,7 @@ def reference_simulate(sde, x0, times, n_paths, seed):
         alive &= ~bad
         nxt = np.where(alive, nxt, np.nan)
         X[:, k + 1] = nxt
-    return times, X, dW, ~alive
+    return times, X, ~alive
 
 
 def reference_flow(v, params, eps, n_sub, times, states=None):
@@ -131,11 +130,10 @@ class TestSimulationOracle:
         K = K_LONG if n_paths == 2000 else 300
         ens = euler_maruyama(SDES[name], 0.5, 1e-3 if n_paths == 2000 else 1e-2,
                              K, n_paths, seed=11)
-        times, X, dW, aborted = reference_simulate(SDES[name], 0.5, ens.times,
-                                                   n_paths, 11)
+        times, X, aborted = reference_simulate(SDES[name], 0.5, ens.times,
+                                               n_paths, 11)
         assert same(ens.times, times)
         assert same(ens.paths, X)
-        assert same(ens.increments, dW)
         assert same(ens.aborted, aborted)
 
     @pytest.mark.parametrize("name", ["aborting", "overflowing"])
@@ -144,18 +142,17 @@ class TestSimulationOracle:
         assert 0 < ens.aborted.sum() < 500
         assert np.all(np.isnan(ens.paths[ens.aborted, -1]))
         ref = reference_simulate(SDES[name], 0.5, ens.times, 500, 5)
-        assert same(ens.paths, ref[1]) and same(ens.aborted, ref[3])
+        assert same(ens.paths, ref[1]) and same(ens.aborted, ref[2])
 
     def test_non_uniform_grid(self):
         grid = np.cumsum(np.linspace(1e-3, 3e-3, 200))
         ens = _simulate_on_grid(SDES["t-dependent"], 1.0, grid, 64, 3)
         ref = reference_simulate(SDES["t-dependent"], 1.0, grid, 64, 3)
-        assert same(ens.paths, ref[1]) and same(ens.increments, ref[2])
+        assert same(ens.paths, ref[1])
 
     def test_shapes(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 7, seed=1)
         assert ens.paths.shape == (7, 51)
-        assert ens.increments.shape == (7, 50)
         assert ens.aborted.shape == (7,)
         assert (ens.n_paths, ens.n_steps) == (7, 50)
 
@@ -177,7 +174,7 @@ class TestFlowOracle:
     def test_flow_apply_on_aborted_paths(self):
         ens = euler_maruyama(SDES["aborting"], 0.5, 1e-2, 300, 200, seed=5)
         assert ens.aborted.any()
-        _, moved = flow_apply(ens, FIELDS["scaling"], 0.1)
+        moved = flow_apply(ens, FIELDS["scaling"], 0.1)
         beta, _, F = reference_flow(FIELDS["scaling"], {}, 0.1, 64,
                                     ens.times, ens.paths)
         aborted = ens.aborted | ~np.all(np.isfinite(F), axis=1)
@@ -188,16 +185,18 @@ class TestFlowOracle:
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_flow_map_points(self, name):
-        fm = FlowMap(0.2, FIELDS[name], {"a": 1.0})
         t = np.linspace(0.1, 1.0, 7)
         x = np.linspace(-1.0, 2.0, 7)
+        beta, J, F = _flow_integrate(FIELDS[name], {"a": 1.0}, 0.2, 64, t, x)
         want = reference_flow(FIELDS[name], {"a": 1.0}, 0.2, 64, t, x)
-        assert same(fm.F(t, x), want[2])
-        assert same(fm.beta(t), want[0])
-        assert same(fm.eta_sq(t), want[1])
+        assert same(F, want[2])
+        assert same(beta, want[0])
+        assert same(J, want[1])
+        # a single point, as verify_symmetry moves the initial state
         scalar = reference_flow(FIELDS[name], {"a": 1.0}, 0.2, 64,
                                 np.array(0.3), np.array(1.2))[2]
-        assert same(np.asarray(fm.F(0.3, 1.2)), scalar)
+        got = _flow_integrate(FIELDS[name], {"a": 1.0}, 0.2, 64, 0.3, 1.2)[2]
+        assert same(np.asarray(got), scalar)
 
 
 class TestNonFiniteTimes:

@@ -114,6 +114,14 @@ class TestProblemFile:
         with pytest.raises(ProblemError, match="p.prob:5"):
             parse_problem_text(bad, path="p.prob")
 
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "-inf"])
+    def test_eps_must_be_finite_and_nonzero(self, eps):
+        text = f"[sde]\ndrift = 0\ndiffusion = 1\n\n[numeric]\neps = {eps}\n"
+        with pytest.raises(ProblemError, match="<memory>:6: eps must be"):
+            parse_problem_text(text)
+        assert parse_problem_text(text.replace(f"eps = {eps}", "eps = -0.3")
+                                  ).numeric["eps"] == -0.3
+
     def test_extra_variable_declaration(self):
         pf = parse_problem_text("[declare]\nvar z\n\n[sde]\ndrift = 0\ndiffusion = 1\n")
         assert "z" in pf.variables

@@ -5,9 +5,9 @@ import pytest
 
 from sdesym.ansatz import Ansatz, sample_points, solve_symmetries
 from sdesym.determining import Sde, VectorField
-from sdesym.expr import evaluate, diff, parse, simplify
+from sdesym.expr import diff, parse, simplify
 from sdesym.lie import apply_match, match_basis, structure_constants
-from sdesym.numeric import FlowMap
+from sdesym.numeric import _flow_integrate
 from sdesym.transform import (
     NoMapError,
     PairedSymmetries,
@@ -18,6 +18,8 @@ from sdesym.transform import (
     solve_map,
     transformation_system,
 )
+
+from conftest import evaluate
 
 PA = ("alpha", "beta")
 
@@ -236,8 +238,8 @@ class TestPipelineIntegration:
         params = {"alpha": 1.0, "beta": 0.0}
 
         def central(v, t, h):
-            bp = FlowMap(h, v, params).beta(np.array([t]))[0]
-            bm = FlowMap(-h, v, params).beta(np.array([t]))[0]
+            bp = _flow_integrate(v, params, h, 64, np.array([t]))[0][0]
+            bm = _flow_integrate(v, params, -h, 64, np.array([t]))[0][0]
             return (bp - bm) / (2 * h)
 
         for v, _ in matched_pairs(1.0, 0.0):
