@@ -148,6 +148,8 @@ def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
     A point is rejected when any expression in `reject` evaluates
     non-finite there (a domain error included).
     """
+    if n < 1:
+        raise AnsatzError(f"need at least 1 sample point, got {n}")
     t0, t1, x0, x1 = window
     points = []
     for block in itertools.islice(_halton_blocks(seed, max(n, 8)), max_draws):

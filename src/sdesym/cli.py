@@ -18,11 +18,10 @@ Exit codes: 0 success/pass, 2 bad option or problem/expression error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .ansatz import Ansatz, AnsatzError, sample_points, solve_symmetries
-from .determining import DeterminingError, Sde, VectorField, build_system
+from .determining import DeterminingError, VectorField, build_system
 from .expr import ExprError, ZERO, simplify
 from .lie import LieError, apply_match, match_basis, structure_constants
 from .numeric import (
@@ -31,7 +30,8 @@ from .numeric import (
     verify_map,
     verify_symmetry,
 )
-from .problem import ProblemError, ProblemFile, load_problem, parse_field_file
+from .problem import (SETTINGS, ProblemError, ProblemFile, load_problem,
+                      parse_field_file, read_setting)
 from .transform import PairedSymmetries, TransformError, TransformMap, solve_map
 
 EXIT_OK = 0
@@ -52,33 +52,29 @@ def _err(msg: str):
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _window(pf: ProblemFile, args):
-    return args.window or pf.window()
-
-
-def _seed(pf: ProblemFile, args) -> int:
-    return args.seed if args.seed is not None else pf.seed()
-
-
-def _check_params_bound(pf: ProblemFile):
+def _load(path: str, args) -> ProblemFile:
+    """Load a problem whose parameters all have values; a numeric flag
+    (--seed, ...) overrides the problem's setting."""
+    flags = {key: read_setting(key, getattr(args, key), f"--{key}")
+             for key in SETTINGS if getattr(args, key, None) is not None}
+    pf = load_problem(path)
     missing = sorted(k for k, v in pf.params.items() if v is None)
     if missing:
         raise ProblemError(
             f"parameter {', '.join(missing)} requires a value or must "
             f"appear in ansatz rates")
+    pf.numeric.update(flags)
+    return pf
 
 
-def _solve(pf: ProblemFile, mode: str, args):
-    _check_params_bound(pf)
+def _solve(pf: ProblemFile, mode: str):
     ansatz = pf.ansatz
     if mode == "classical" and ansatz.phitilde:
         # classical systems have no stochastic slot; drop that dictionary
         ansatz = Ansatz(tau=ansatz.tau, phi=ansatz.phi)
     return solve_symmetries(
-        pf.require_sde(), ansatz, mode,
-        n_points=args.points or int(pf.numeric.get("points", 64)),
-        window=_window(pf, args), seed=_seed(pf, args),
-        tol=args.tol or float(pf.numeric.get("tol", 1e-9)))
+        pf.require_sde(), ansatz, mode, n_points=pf.numeric["points"],
+        window=pf.window(), seed=pf.seed(), tol=pf.numeric["tol"])
 
 
 def _print_basis(basis, output: str):
@@ -108,8 +104,8 @@ def _fmt_num(v: float) -> str:
 
 
 def cmd_symmetries(args) -> int:
-    pf = load_problem(args.problem)
-    basis = _solve(pf, args.mode, args)
+    pf = _load(args.problem, args)
+    basis = _solve(pf, args.mode)
     _print_basis(basis, args.output)
     return EXIT_OK
 
@@ -119,14 +115,13 @@ def _deterministic_subset(basis):
 
 
 def cmd_brackets(args) -> int:
-    pf = load_problem(args.problem)
-    basis = _solve(pf, args.mode, args)
+    pf = _load(args.problem, args)
+    basis = _solve(pf, args.mode)
     fields = _deterministic_subset(basis)
     if not fields:
         raise LieError("no deterministic generators to bracket")
     params = pf.require_sde().bound_params()
-    points = sample_points(32, _window(pf, args), _seed(pf, args) + 17,
-                           params=params)
+    points = sample_points(32, pf.window(), pf.seed() + 17, params=params)
     sc = structure_constants(fields, points, params)
     n = sc.n
     if args.output == "kv":
@@ -160,21 +155,19 @@ def cmd_brackets(args) -> int:
 
 def _match_pipeline(args):
     """Shared by match and find-map: solve both sides, match algebras."""
-    src_pf = load_problem(args.source)
-    tgt_pf = load_problem(args.target)
-    src_basis = _solve(src_pf, "classical", args)
-    tgt_basis = _solve(tgt_pf, "classical", args)
+    src_pf = _load(args.source, args)
+    tgt_pf = _load(args.target, args)
+    src_basis = _solve(src_pf, "classical")
+    tgt_basis = _solve(tgt_pf, "classical")
     if len(src_basis) != len(tgt_basis):
         return src_pf, tgt_pf, src_basis, tgt_basis, None, None, None
     sparams = src_pf.require_sde().bound_params()
     tparams = tgt_pf.require_sde().bound_params()
-    spts = sample_points(32, _window(src_pf, args), _seed(src_pf, args) + 17,
-                         params=sparams)
-    tpts = sample_points(32, _window(tgt_pf, args), _seed(tgt_pf, args) + 17,
-                         params=tparams)
+    spts = sample_points(32, src_pf.window(), src_pf.seed() + 17, params=sparams)
+    tpts = sample_points(32, tgt_pf.window(), tgt_pf.seed() + 17, params=tparams)
     sc = structure_constants(list(src_basis), spts, sparams)
     tc = structure_constants(list(tgt_basis), tpts, tparams)
-    m = match_basis(sc, tc, seed=_seed(src_pf, args))
+    m = match_basis(sc, tc, seed=src_pf.seed())
     return src_pf, tgt_pf, src_basis, tgt_basis, sc, tc, m
 
 
@@ -224,10 +217,9 @@ def cmd_find_map(args) -> int:
               **src_pf.require_sde().bound_params()}
     matched_fields = apply_match(m.A, list(src_basis))
     pairs = PairedSymmetries.from_tx(list(zip(matched_fields, tgt_basis)))
-    pin = src_pf.numeric.get("pin")
     tmap = solve_map(pairs, src_pf.map_mu1, src_pf.map_mu2, params=params,
-                     window=_window(src_pf, args), seed=_seed(src_pf, args),
-                     pin=pin)
+                     window=src_pf.window(), seed=src_pf.seed(),
+                     pin=src_pf.numeric["pin"])
     _print_match(m, args.output)
     if args.output == "kv":
         print(f"map.mu1 = {tmap.mu1}")
@@ -235,29 +227,14 @@ def cmd_find_map(args) -> int:
     else:
         print(f"map: mu1 = {tmap.mu1}")
         print(f"     mu2 = {tmap.mu2}")
-    report = _run_verify_map(src_pf, tgt_pf.require_sde(), tmap, args)
+    report = verify_map(src_pf.require_sde(), tgt_pf.require_sde(), tmap,
+                        **src_pf.simulation())
     print(report.to_kv())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _numeric_settings(pf: ProblemFile, args):
-    return {
-        "x0": float(pf.numeric.get("x0", 1.0)),
-        "h": float(pf.numeric.get("h", 1e-3)),
-        "K": int(pf.numeric.get("steps", 1000)),
-        "n_paths": args.paths or int(pf.numeric.get("paths", 2000)),
-        "seed": _seed(pf, args),
-    }
-
-
-def _run_verify_map(src_pf: ProblemFile, tgt: Sde, tmap: TransformMap, args):
-    ns = _numeric_settings(src_pf, args)
-    return verify_map(src_pf.require_sde(), tgt, tmap, **ns)
-
-
 def cmd_verify_symmetry(args) -> int:
-    pf = load_problem(args.problem)
-    _check_params_bound(pf)
+    pf = _load(args.problem, args)
     sde = pf.require_sde()
     fields = parse_field_file(args.generator, pf.variables, tuple(pf.params))
     v = VectorField(fields.get("tau", ZERO), fields.get("phi", ZERO),
@@ -267,21 +244,18 @@ def cmd_verify_symmetry(args) -> int:
         mode = "det-ode"
     system = build_system(sde, v, mode)
     report = residual_check(system, sde.bound_params(),
-                            window=_window(pf, args), seed=_seed(pf, args))
+                            window=pf.window(), seed=pf.seed())
     print(report.to_kv())
     ok = report.passed
     if ok and not v.has_stochastic_part() and not sde.is_deterministic():
-        eps = args.eps if args.eps is not None else float(pf.numeric.get("eps", 0.2))
-        ns = _numeric_settings(pf, args)
-        ks = verify_symmetry(sde, v, eps, **ns)
+        ks = verify_symmetry(sde, v, pf.numeric["eps"], **pf.simulation())
         print(ks.to_kv())
         ok = ok and ks.passed
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify_map(args) -> int:
-    src_pf = load_problem(args.source)
-    _check_params_bound(src_pf)
+    src_pf = _load(args.source, args)
     if args.target:
         tgt = load_problem(args.target).require_sde()
     elif src_pf.target is not None:
@@ -292,32 +266,9 @@ def cmd_verify_map(args) -> int:
     if "mu1" not in fields or "mu2" not in fields:
         raise ProblemError(f"{args.map}: map file needs mu1 and mu2")
     tmap = TransformMap(fields["mu1"], fields["mu2"])
-    report = _run_verify_map(src_pf, tgt, tmap, args)
+    report = verify_map(src_pf.require_sde(), tgt, tmap, **src_pf.simulation())
     print(report.to_kv())
     return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def _option(convert, ok, what):
-    """argparse type: convert the text and refuse a value failing `ok`, so
-    that a bad option exits 2 with a usage error."""
-    def check(text):
-        try:
-            value = convert(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    return check
-
-
-_SEED = _option(int, lambda v: v >= 0, "an integer >= 0")
-_COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
-_TOL = _option(float, lambda v: 0 < v < math.inf, "a finite float > 0")
-_EPS = _option(float, lambda v: v != 0 and math.isfinite(v), "a finite nonzero float")
-_WINDOW = _option(lambda text: tuple(float(v) for v in text.split(",")),
-                  lambda v: len(v) == 4 and all(map(math.isfinite, v)),
-                  "four finite floats t0,t1,x0,x1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,11 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
                "allows, first printed coefficient positive (so the Brownian "
                "scaling symmetry prints as [2*t d/dt + x d/dx]^D). Output is "
                "byte-stable for a fixed --seed.")
-    p.add_argument("--seed", type=_SEED, default=None, help="override problem seed")
-    p.add_argument("--tol", type=_TOL, default=None, help="rank tolerance")
-    p.add_argument("--points", type=_COUNT, default=None, help="sample point count")
-    p.add_argument("--paths", type=_COUNT, default=None, help="Monte-Carlo path count")
-    p.add_argument("--window", type=_WINDOW, default=None, help="t0,t1,x0,x1")
+    # numeric flags stay text here; _load reads them by the problem's rules
+    p.add_argument("--seed", help="override problem seed")
+    p.add_argument("--tol", help="rank tolerance")
+    p.add_argument("--points", help="sample point count")
+    p.add_argument("--paths", help="Monte-Carlo path count")
+    p.add_argument("--window", help="t0,t1,x0,x1")
     p.add_argument("--mode", choices=("classical", "stochastic", "det-ode"),
                    default="stochastic", help="determining system flavor")
     p.add_argument("--output", choices=("text", "kv"), default="text")
@@ -362,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify-symmetry", help="certify a candidate generator")
     s.add_argument("problem")
     s.add_argument("--generator", required=True, help="file with tau/phi/phitilde")
-    s.add_argument("--eps", type=_EPS, default=None, help="flow parameter")
+    s.add_argument("--eps", help="flow parameter")
     s.set_defaults(fn=cmd_verify_symmetry)
 
     s = sub.add_parser("verify-map", help="certify a candidate map")

@@ -569,7 +569,10 @@ def _simp(e: Expr) -> Expr:
         if u.kind == LOG:
             return u.children[0]
         if u.kind == CONST and isinstance(u.value, float):
-            return const(math.exp(u.value))
+            try:
+                return const(math.exp(u.value))
+            except OverflowError:
+                pass  # left unfolded: evaluation reports the overflow
         return exp(u)
     if k == LOG:
         u = _simp(e.children[0])
@@ -724,16 +727,19 @@ def _simp_power(b: Expr, p: Expr) -> Expr:
         return Expr(POWER, (b, p))
     if b.kind == CONST and p.kind == CONST:
         bv, pv = b.value, p.value
-        if _is_int_const(p):
-            n = int(pv)
-            if isinstance(bv, Fraction):
-                if bv != 0 or n >= 0:
-                    return const(bv ** n)
-            else:
-                return const(float(bv) ** n)
-        bf, pf = float(bv), float(pv)
-        if bf > 0:
-            return const(bf ** pf)
+        try:
+            if _is_int_const(p):
+                n = int(pv)
+                if isinstance(bv, Fraction):
+                    if bv != 0 or n >= 0:
+                        return const(bv ** n)
+                else:
+                    return const(float(bv) ** n)
+            bf, pf = float(bv), float(pv)
+            if bf > 0:
+                return const(bf ** pf)
+        except OverflowError:
+            pass  # left unfolded: evaluation reports the overflow
         return Expr(POWER, (b, p))
     if b.kind == EXP:
         return _simp(exp(mul(b.children[0], p)))
@@ -764,12 +770,6 @@ def _needs_parens_in_product(f: Expr, first: bool) -> bool:
 
 def _const_is_ratio(e: Expr) -> bool:
     return isinstance(e.value, Fraction) and e.value.denominator != 1
-
-
-def _const_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return repr(v)
 
 
 def _split_negative(term: Expr):

@@ -72,6 +72,8 @@ def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
     if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
             or np.any(np.diff(times) <= 0)):
         raise NumericError("time grid must be finite and strictly increasing")
+    if not math.isfinite(x0):
+        raise NumericError(f"initial state {x0} is not finite")
     K = times.size - 1
     params = sde.bound_params()
     f = compile_fn(sde.drift, ("t", "x"), params)
@@ -488,7 +490,10 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
     moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
                          ens.seed, aborted)
-    y0 = float(np.asarray(mu2(ens.times[0], x0), dtype=float))
+    del Y  # not alive during the target simulation below
+    with np.errstate(all="ignore"):
+        # numpy arithmetic, so a singular mu2 gives inf rather than raising
+        y0 = float(np.asarray(mu2(ens.times[0], np.float64(x0)), dtype=float))
     fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
                               seed + FRESH_SEED_OFFSET)
     return _compare_ensembles(moved, fresh, p_threshold)

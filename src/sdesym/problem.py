@@ -2,7 +2,8 @@
 
 Sections: [declare] (var/param declarations), [sde] (drift, diffusion),
 [ansatz] (tau/phi/phitilde dictionaries), [target.sde], [map.ansatz]
-(mu1/mu2 dictionaries) and [numeric] (window, seeds, tolerances, sizes).
+(mu1/mu2 dictionaries) and [numeric] (window, seeds, tolerances, sizes;
+one row of SETTINGS gives each key's accepted values and default).
 `t` and `x` are always declared as variables; everything else must be
 declared.  `#` starts a comment.
 
@@ -17,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple
 
-from .ansatz import Ansatz
+from .ansatz import DEFAULT_RANK_TOL, DEFAULT_WINDOW, Ansatz
 from .determining import Sde
 from .expr import Expr, ExprError, mul, parse, simplify, var
 
@@ -27,6 +29,56 @@ BASE_VARIABLES = ("t", "x")
 
 class ProblemError(ValueError):
     pass
+
+
+class Setting(NamedTuple):
+    convert: Callable  # text -> value, raising ValueError on malformed text
+    ok: Callable       # the acceptance test on the converted value
+    what: str          # the values `ok` accepts, for the error message
+    default: object
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+# the rule and default of each [numeric] key; the flags --seed, --tol,
+# --points, --paths, --window and --eps are read by the row of their name
+SETTINGS = {
+    "window": Setting(_floats, lambda w: len(w) == 4 and _finite(w)
+                      and w[0] < w[1] and w[2] < w[3],
+                      "four finite floats t0,t1,x0,x1 with t0 < t1 and x0 < x1",
+                      DEFAULT_WINDOW),
+    "seed": Setting(int, lambda v: v >= 0, "an integer >= 0", 2026),
+    "tol": Setting(float, lambda v: 0 < v < math.inf, "a finite float > 0",
+                   DEFAULT_RANK_TOL),
+    "points": Setting(int, lambda v: v >= 1, "an integer >= 1", 64),
+    "paths": Setting(int, lambda v: v >= 1, "an integer >= 1", 2000),
+    "h": Setting(float, lambda v: 0 < v < math.inf, "a finite float > 0", 1e-3),
+    "steps": Setting(int, lambda v: v >= 1, "an integer >= 1", 1000),
+    "x0": Setting(float, math.isfinite, "a finite float", 1.0),
+    "eps": Setting(float, lambda v: v != 0 and math.isfinite(v),
+                   "a finite nonzero float", 0.2),
+    "pin": Setting(_floats, lambda v: len(v) == 4 and _finite(v),
+                   "four finite floats t0,x0,v1,v2", None),
+}
+
+
+def read_setting(key: str, text: str, where: str):
+    """Convert and check the text of setting `key`, from a problem file's
+    [numeric] line or from a flag; `where` names the source in the error."""
+    rule = SETTINGS[key]
+    try:
+        value = rule.convert(text)
+        if rule.ok(value):
+            return value
+    except ValueError:
+        pass
+    raise ProblemError(f"{where} must be {rule.what}, got {text!r}")
 
 
 @dataclass
@@ -38,7 +90,9 @@ class ProblemFile:
     target: Sde | None = None
     map_mu1: tuple = ()
     map_mu2: tuple = ()
-    numeric: dict = field(default_factory=dict)
+    # every [numeric] setting: the file's value, else the table's default
+    numeric: dict = field(
+        default_factory=lambda: {k: s.default for k, s in SETTINGS.items()})
     path: str = "<memory>"
 
     def require_sde(self) -> Sde:
@@ -47,10 +101,16 @@ class ProblemFile:
         return self.sde
 
     def window(self):
-        return tuple(self.numeric.get("window", (0.1, 2.0, 0.5, 2.0)))
+        return self.numeric["window"]
 
     def seed(self) -> int:
-        return int(self.numeric.get("seed", 2026))
+        return self.numeric["seed"]
+
+    def simulation(self) -> dict:
+        """The path-ensemble keywords of verify_map and verify_symmetry."""
+        n = self.numeric
+        return {"x0": n["x0"], "h": n["h"], "K": n["steps"],
+                "n_paths": n["paths"], "seed": n["seed"]}
 
 
 def _split_top_level(text: str, sep: str) -> list:
@@ -125,8 +185,6 @@ def _parse_value(text: str) -> float:
 
 
 _KNOWN_SECTIONS = ("declare", "sde", "ansatz", "target.sde", "map.ansatz", "numeric")
-_NUMERIC_KEYS = ("window", "seed", "tol", "points", "paths", "h", "steps",
-                 "x0", "eps", "pin")
 
 
 def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
@@ -220,19 +278,9 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
     pf.map_mu1, pf.map_mu2 = mu["mu1"], mu["mu2"]
 
     for where, key, value in sections.get("numeric", []):
-        if key not in _NUMERIC_KEYS:
+        if key not in SETTINGS:
             raise ProblemError(f"{where}: unknown numeric key '{key}'")
-        if key in ("window", "pin"):
-            vals = tuple(_parse_value(v) for v in value.split(","))
-            if len(vals) != 4:
-                raise ProblemError(f"{where}: {key} needs 4 comma-separated values")
-            pf.numeric[key] = vals
-        elif key in ("seed", "points", "paths", "steps"):
-            pf.numeric[key] = int(_parse_value(value))
-        else:
-            pf.numeric[key] = v = _parse_value(value)
-            if key == "eps" and not (v != 0 and math.isfinite(v)):
-                raise ProblemError(f"{where}: eps must be a finite nonzero number")
+        pf.numeric[key] = read_setting(key, value, f"{where}: {key}")
     return pf
 
 

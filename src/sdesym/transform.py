@@ -151,7 +151,7 @@ def _monotone_mu1(mu1: Expr, window, params, n: int = 64) -> bool:
 
 def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
               params=None, window=DEFAULT_WINDOW, n_points: int = 64,
-              seed: int = 2026, tol: float = 1e-9, verify_tol: float = MAP_TOL,
+              seed: int = 2026, verify_tol: float = MAP_TOL,
               pin=None, restarts: int = 32) -> TransformMap:
     """Solve the map conditions over ansatz dictionaries for mu1 and mu2.
 
@@ -208,7 +208,7 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
                 f"map conditions are infeasible with this ansatz "
                 f"(best residual {feas:.3e})")
         if pin is not None:
-            coeffs = _apply_pin(M, b, coeffs, pin, mu1_basis, mu2_basis, params)
+            coeffs = _apply_pin(M, b, pin, mu1_basis, mu2_basis, params)
         coeffs = _snap_coeffs(M, b, coeffs, max(feas, 1e-10 * scale))
 
     tmap = _to_map(coeffs)
@@ -247,14 +247,18 @@ def _pin_rows(pin, mu1_basis, mu2_basis, params):
     return P, np.array([v1, v2], dtype=float)
 
 
-def _apply_pin(M, b, coeffs, pin, mu1_basis, mu2_basis, params):
-    """Re-solve with rows pinning mu(t0, x0) = (v1, v2), then verify."""
+def _apply_pin(M, b, pin, mu1_basis, mu2_basis, params):
+    """Re-solve with rows pinning mu(t0, x0) = (v1, v2); refuse a pin that
+    the map conditions do not allow."""
     P, v = _pin_rows(pin, mu1_basis, mu2_basis, params)
     pinned, *_ = np.linalg.lstsq(np.vstack([M, P]), np.concatenate([-b, v]),
                                  rcond=None)
     feas = float(np.max(np.abs(M @ pinned + b)))
     if feas > 1e-7:
-        return coeffs  # pin incompatible with the map conditions; keep gauge
+        t0, x0, v1, v2 = pin
+        raise NoMapError(
+            f"pin mu({t0:g}, {x0:g}) = ({v1:g}, {v2:g}) is incompatible with "
+            f"the map conditions (residual {feas:.3e})")
     return pinned
 
 

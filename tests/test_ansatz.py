@@ -103,6 +103,13 @@ class TestSamplePoints:
         assert len(pts) == 64
         assert all(0.1 <= t <= 2.0 and 0.5 <= x <= 2.0 for t, x in pts)
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_count_below_one_refused(self, n):
+        # -1 once sliced 7 points from the end of a block, 0 ended in an
+        # IndexError inside the solver
+        with pytest.raises(AnsatzError, match=f"at least 1 sample point, got {n}"):
+            sample_points(n, seed=4)
+
     def test_deterministic(self):
         assert sample_points(16, seed=4) == sample_points(16, seed=4)
         assert sample_points(16, seed=4) != sample_points(16, seed=5)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from sdesym.cli import main
+from sdesym.cli import _load, build_parser, main
+from sdesym.problem import SETTINGS, load_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -115,6 +116,18 @@ class TestSymmetries:
         code, _, err = run(capsys, "symmetries", str(path))
         assert code == 3
         assert "could not sample" in err
+
+    @pytest.mark.parametrize("entry, reason", [("2^3000.0", "overflow in power"),
+                                               ("exp(1000.0)", "overflow in exp")])
+    def test_overflowing_constant_exit_2(self, capsys, tmp_path, entry, reason):
+        # simplify leaves a constant that overflows unfolded; evaluation
+        # then names it, where folding it raised OverflowError
+        path = tmp_path / "ovf.prob"
+        path.write_text(open(prob("brownian.prob")).read().replace(
+            "phi = poly(x;1)", f"phi = poly(x;1) + {entry}"))
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert code == 2 and out == ""
+        assert f"{reason} in subexpression '{entry}'" in err
 
     def test_golden_stability(self, capsys):
         outputs = set()
@@ -248,6 +261,15 @@ class TestVerifyMap:
                            prob("brownian.prob"), "--map", path)
         assert code == 0
 
+    def test_singular_initial_state_exit_5(self, capsys, gen_file):
+        # brownian starts at x0 = 0, where mu2 = 1/x is singular
+        path = gen_file("mu1 = t\nmu2 = 1/x\n", "singular.map")
+        code, out, err = run(capsys, "--paths", "100", "verify-map",
+                             prob("brownian.prob"), prob("brownian.prob"),
+                             "--map", path)
+        assert code == 5 and out == ""
+        assert err == "error: initial state inf is not finite\n"
+
     def test_missing_target_exit_2(self, capsys, gen_file, tmp_path):
         src = tmp_path / "notarget.prob"
         src.write_text(
@@ -317,3 +339,90 @@ def test_cold_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# bad values for every key of the settings table, among them each value a
+# problem file once let through silently or into a traceback
+BAD_SETTINGS = [
+    ("window", "1, 1, 0.5, 2"), ("window", "0.1, 2, 2, 0.5"),
+    ("window", "0, 1, 0.5"), ("window", "0, inf, 0.5, 2"),
+    ("seed", "3.9"), ("seed", "-1"), ("seed", "2026.0"),
+    ("tol", "-1"), ("tol", "0"), ("tol", "nan"),
+    ("points", "0"), ("points", "-1"), ("points", "40.7"),
+    ("paths", "2.5"), ("paths", "0"),
+    ("h", "0"), ("h", "-0.001"), ("h", "inf"),
+    ("steps", "0"), ("steps", "1e3"),
+    ("x0", "nan"), ("x0", "inf"),
+    ("eps", "0"), ("eps", "nan"),
+    ("pin", "0, 1, 5"), ("pin", "0, 1, nan, 7"),
+]
+FLAGS = ("window", "seed", "tol", "points", "paths", "eps")
+# a good value per flag, for the same command given either way
+GOOD_SETTINGS = [("window", "0.2, 1.5, 0.5, 2"), ("seed", "7"), ("tol", "1e-8"),
+                 ("points", "48"), ("paths", "300"), ("eps", "-0.3")]
+
+
+def settings_command(key, problem, gen_file, value=None):
+    """argv of a command that reads setting `key` from `problem` (with
+    brownian.prob as the target), with `value` as the flag when not None."""
+    flag = [f"--{key}", value] if value is not None else []
+    if key in ("paths", "h", "steps", "x0"):
+        return [*flag, "verify-map", problem, prob("brownian.prob"),
+                "--map", gen_file("mu1 = t\nmu2 = x\n", "id.map")]
+    if key == "eps":
+        return ["--paths", "300", "verify-symmetry", problem,
+                "--generator", gen_file("tau = 2*t\nphi = x\n"), *flag]
+    if key == "pin":
+        return [*flag, "find-map", problem, prob("brownian.prob")]
+    return [*flag, "symmetries", problem]
+
+
+def with_setting(tmp_path, key, value):
+    """brownian.prob with `key = value` appended to its [numeric] section;
+    returns the path and the line number of the setting."""
+    text = open(prob("brownian.prob")).read()
+    path = tmp_path / "setting.prob"
+    path.write_text(text + f"{key} = {value}\n")
+    return str(path), len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("key, value", BAD_SETTINGS,
+                         ids=[f"{k}={v}" for k, v in BAD_SETTINGS])
+def test_bad_setting_in_file_exits_2(capsys, tmp_path, gen_file, key, value):
+    path, line = with_setting(tmp_path, key, value)
+    code, out, err = run(capsys, *settings_command(key, path, gen_file))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:{line}: {key} must be ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+def test_every_setting_is_covered():
+    assert {k for k, _ in BAD_SETTINGS} == set(SETTINGS)
+    assert {k for k, _ in GOOD_SETTINGS} == set(FLAGS)
+
+
+BAD_FLAGS = [(k, v) for k, v in BAD_SETTINGS if k in FLAGS]
+
+
+@pytest.mark.parametrize("key, value", BAD_FLAGS,
+                         ids=[f"--{k}={v}" for k, v in BAD_FLAGS])
+def test_bad_setting_as_flag_exits_2(capsys, gen_file, key, value):
+    command = settings_command(key, prob("brownian.prob"), gen_file, value)
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --{key} must be ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+@pytest.mark.parametrize("key, value", GOOD_SETTINGS,
+                         ids=[k for k, _ in GOOD_SETTINGS])
+def test_setting_in_file_equals_flag(capsys, tmp_path, gen_file, key, value):
+    path, _ = with_setting(tmp_path, key, value)
+    flagged = settings_command(key, prob("brownian.prob"), gen_file, value)
+    from_file = run(capsys, *settings_command(key, path, gen_file))
+    from_flag = run(capsys, *flagged)
+    assert from_file[0] in (0, 5) and from_file == from_flag
+    # both ways set the same value, and it is not the default
+    from_args = _load(prob("brownian.prob"), build_parser().parse_args(flagged))
+    assert (from_args.numeric[key] == load_problem(path).numeric[key]
+            != SETTINGS[key].default)

@@ -287,8 +287,9 @@ class TestSimplify:
         assert diff(tau, "t") == simplify(p("2*c1"))
 
     def test_idempotent_random(self, rng):
-        for _ in range(300):
-            e = random_expr(rng, 4)
+        # the fixed inputs overflow when folded to a float; they stay unfolded
+        fixed = [p(s) for s in ("2^3000.0", "1e300^2", "exp(1000.0)")]
+        for e in fixed + [random_expr(rng, 4) for _ in range(300)]:
             s1 = simplify(e)
             assert simplify(s1) == s1, to_str(e)
 

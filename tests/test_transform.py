@@ -144,6 +144,16 @@ class TestSolveMap:
         env = {"t": 0.0, "x": 1.0}
         assert evaluate(tmap.mu1, env) == pytest.approx(5.0)
 
+    def test_incompatible_pin_refused(self):
+        # the pair (X2, d/dt) of the affine example fixes mu1 = -1/2*exp(-2t)
+        # up to a constant, so mu1(0, 1) = 5 and mu2(0, 1) = 7 cannot hold
+        # together with the other pairs; the pin is refused, not dropped
+        with pytest.raises(NoMapError, match=r"pin mu\(0, 1\) = \(5, 7\) is "
+                                             r"incompatible .* \(residual "):
+            solve_map(matched_pairs(1.0, 0.0), MU1_BASIS, MU2_BASIS,
+                      params={"alpha": 1.0, "beta": 0.0},
+                      window=(0.0, 1.0, 0.5, 2.0), pin=(0.0, 1.0, 5.0, 7.0))
+
     def test_infeasible_ansatz(self):
         pairs = matched_pairs(1.0, 0.0)
         with pytest.raises(NoMapError):
