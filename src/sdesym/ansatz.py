@@ -44,7 +44,7 @@ from .expr import (
 
 DEFAULT_WINDOW = (0.1, 2.0, 0.5, 2.0)  # t0, t1, x0, x1
 DEFAULT_RANK_TOL = 1e-9
-VERIFY_TOL = 1e-8
+VERIFY_TOL = 1e-8  # max |residual| at sampled points; a value <= it passes
 COEFF_PREFIX = "_c"
 
 
@@ -94,7 +94,11 @@ class SymmetryBasis:
     mode: str
     residual_norms: tuple
     stage1_dimension: int = 0
-    stage1_restricted: bool = False  # dim >= 2 stage-1 space: directions processed one at a time
+
+    @property
+    def stage1_restricted(self) -> bool:
+        """dim >= 2 stage-1 space: directions were processed one at a time."""
+        return self.stage1_dimension >= 2
 
     def __len__(self):
         return len(self.generators)
@@ -142,17 +146,17 @@ def _halton_blocks(seed: int, size: int):
 
 
 def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
-                  reject=(), params=None, max_draws: int = 50) -> list:
+                  reject=(), params=None) -> list:
     """Quasi-random (Halton) points in the window, rejecting singular loci.
 
     A point is rejected when any expression in `reject` evaluates
-    non-finite there (a domain error included).
+    non-finite there (a domain error included); at most 50 blocks are drawn.
     """
     if n < 1:
         raise AnsatzError(f"need at least 1 sample point, got {n}")
     t0, t1, x0, x1 = window
     points = []
-    for block in itertools.islice(_halton_blocks(seed, max(n, 8)), max_draws):
+    for block in itertools.islice(_halton_blocks(seed, max(n, 8)), 50):
         block = np.column_stack([t0 + (t1 - t0) * block[:, 0],
                                  x0 + (x1 - x0) * block[:, 1]])
         ok = np.all(np.isfinite(evaluate_points(reject, block, params)), axis=1)
@@ -234,7 +238,7 @@ def nullspace(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
     return [vh[i].copy() for i in range(rank, M.shape[1])]
 
 
-def _rref(vectors, snap: float = 1e-9) -> list:
+def _rref(vectors) -> list:
     """Reduced row echelon form of the span; canonical, pivot-normalized."""
     if not vectors:
         return []
@@ -254,17 +258,17 @@ def _rref(vectors, snap: float = 1e-9) -> list:
                 A[rr] -= A[rr, c] * A[piv_row]
         piv_row += 1
     A = A[:piv_row]
-    A[np.abs(A) < snap] = 0.0
+    A[np.abs(A) < 1e-9] = 0.0
     return [A[i] for i in range(piv_row)]
 
 
-def _nice_scale(vec: np.ndarray, max_mult: int = 48) -> np.ndarray:
-    """Rescale so entries become small integers when a scaling allows."""
+def _nice_scale(vec: np.ndarray) -> np.ndarray:
+    """Rescale so entries become small integers if a scaling by 1..48 allows."""
     v = vec.copy()
     nz = np.abs(v) > 0
     if not np.any(nz):
         return v
-    for m in range(1, max_mult + 1):
+    for m in range(1, 49):
         w = v * m
         r = np.round(w)
         if np.all(np.abs(w - r) <= 1e-7 * max(1.0, float(np.max(np.abs(w))))) \
@@ -291,10 +295,10 @@ def _coeff_const(v: float) -> Expr:
     return const(v if frac is None else frac)
 
 
-def _vec_to_expr(vec, basis_fns, snap: float = 1e-9) -> Expr:
+def _vec_to_expr(vec, basis_fns) -> Expr:
     terms = []
     for coeff, fn in zip(vec, basis_fns):
-        if abs(coeff) <= snap:
+        if abs(coeff) <= 1e-9:
             continue
         terms.append(simplify(mul(_coeff_const(float(coeff)), fn)))
     return simplify(add(*terms)) if terms else ZERO
@@ -346,15 +350,14 @@ def max_residual(sde: Sde, v: VectorField, mode: str, points, params) -> float:
     return float(_max_abs(evaluate_points(system.residuals, points, params)))
 
 
-def _is_numerically_zero(e: Expr, points, params, tol=1e-12) -> bool:
+def _is_numerically_zero(e: Expr, points, params) -> bool:
     e = simplify(e)
-    return e.is_zero() or _max_abs(evaluate_points([e], points, params)) <= tol
+    return e.is_zero() or _max_abs(evaluate_points([e], points, params)) <= 1e-12
 
 
 def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
                      n_points: int = 64, window=DEFAULT_WINDOW, seed: int = 2026,
-                     tol: float = DEFAULT_RANK_TOL,
-                     verify_tol: float = VERIFY_TOL) -> SymmetryBasis:
+                     tol: float = DEFAULT_RANK_TOL) -> SymmetryBasis:
     """Two-stage ansatz solve returning a verified symmetry basis.
 
     Stage 1 solves the residual rows linear in phitilde alone; stage 2
@@ -364,12 +367,12 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     generator is re-verified against the full system on a fresh point set.
 
     ``tol`` is the relative SVD rank cut: singular values ``s > tol*s[0]``
-    count towards the rank.  ``verify_tol`` is an absolute bound on the
+    count towards the rank.  ``VERIFY_TOL`` is an absolute bound on the
     max |residual| of a generator over the fresh points; a generator passes
     when its residual is <= the bound.  A candidate over the bound is not
     dropped: the whole solve raises ``AnsatzError("verification failure
     ...")``.  Generators with exact rational coefficients can have a
-    residual of exactly 0.0, which passes any ``verify_tol >= 0``.
+    residual of exactly 0.0.
     """
     if mode not in ("classical", "stochastic", "det-ode"):
         raise AnsatzError(f"unknown mode {mode!r}")
@@ -483,10 +486,10 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     feats = []
     for v in candidates:
         res = max_residual(sde, v, mode, fresh, params)
-        if res > verify_tol:
+        if res > VERIFY_TOL:
             raise AnsatzError(
                 f"verification failure: generator {v} has residual {res:.3e} "
-                f"> {verify_tol:.1e} at fresh points (rank tolerance misconfigured?)")
+                f"> {VERIFY_TOL:.1e} at fresh points (rank tolerance misconfigured?)")
         feat = _field_features(v, fresh, params)
         norm = float(np.linalg.norm(feat))
         if norm == 0.0:
@@ -501,5 +504,4 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
         norms.append(res)
 
     return SymmetryBasis(tuple(generators), mode, tuple(norms),
-                         stage1_dimension=stage1_dim,
-                         stage1_restricted=stage1_dim >= 2)
+                         stage1_dimension=stage1_dim)

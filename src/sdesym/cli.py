@@ -218,8 +218,8 @@ def cmd_find_map(args) -> int:
     matched_fields = apply_match(m.A, list(src_basis))
     pairs = PairedSymmetries.from_tx(list(zip(matched_fields, tgt_basis)))
     tmap = solve_map(pairs, src_pf.map_mu1, src_pf.map_mu2, params=params,
-                     window=src_pf.window(), seed=src_pf.seed(),
-                     pin=src_pf.numeric["pin"])
+                     window=src_pf.window(), n_points=src_pf.numeric["points"],
+                     seed=src_pf.seed(), pin=src_pf.numeric["pin"])
     _print_match(m, args.output)
     if args.output == "kv":
         print(f"map.mu1 = {tmap.mu1}")
@@ -233,12 +233,25 @@ def cmd_find_map(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _field_file(path: str, pf: ProblemFile, keys: tuple) -> dict:
+    """Parse a generator or map file, refusing a key outside `keys`."""
+    fields = parse_field_file(path, pf.variables, tuple(pf.params))
+    extra = [key for key in fields if key not in keys]
+    if extra:
+        raise ProblemError(f"{path}: unknown key '{extra[0]}' "
+                           f"(expected {', '.join(keys)})")
+    return fields
+
+
 def cmd_verify_symmetry(args) -> int:
     pf = _load(args.problem, args)
     sde = pf.require_sde()
-    fields = parse_field_file(args.generator, pf.variables, tuple(pf.params))
+    fields = _field_file(args.generator, pf, ("tau", "phi", "phitilde"))
     v = VectorField(fields.get("tau", ZERO), fields.get("phi", ZERO),
                     fields.get("phitilde", ZERO))
+    if v.is_zero():
+        # the zero field moves nothing, so every check would pass
+        raise ProblemError(f"{args.generator}: the generator is zero")
     mode = args.mode
     if mode == "stochastic" and sde.is_deterministic():
         mode = "det-ode"
@@ -262,7 +275,7 @@ def cmd_verify_map(args) -> int:
         tgt = src_pf.target
     else:
         raise ProblemError("no target SDE: pass a target problem or add [target.sde]")
-    fields = parse_field_file(args.map, src_pf.variables, tuple(src_pf.params))
+    fields = _field_file(args.map, src_pf, ("mu1", "mu2"))
     if "mu1" not in fields or "mu2" not in fields:
         raise ProblemError(f"{args.map}: map file needs mu1 and mu2")
     tmap = TransformMap(fields["mu1"], fields["mu2"])

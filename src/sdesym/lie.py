@@ -69,7 +69,6 @@ class BasisMatch:
     A: np.ndarray
     residual: float
     matched: bool
-    n_zeros: int = 0
 
 
 def _act(v: VectorField, h) -> "object":
@@ -94,13 +93,12 @@ def _features(fields, points, params) -> np.ndarray:
     return F.transpose(0, 2, 1).reshape(2 * len(points), len(fields))
 
 
-def structure_constants(basis, points, params=None,
-                        tol: float = CLOSURE_TOL) -> StructureConstants:
+def structure_constants(basis, points, params=None) -> StructureConstants:
     """Least-squares extraction of the commutator table on a grid.
 
     Each pair i < j is solved once; the (j, i) entries are the negated
-    (i, j) ones.  Raises ClosureError when a bracket is not expressible in
-    the basis.
+    (i, j) ones.  Raises ClosureError when a bracket leaves the span of the
+    basis by more than CLOSURE_TOL (relative).
     """
     params = dict(params or {})
     basis = list(basis)
@@ -113,7 +111,7 @@ def structure_constants(basis, points, params=None,
             y = _features([bracket(basis[i], basis[j])], points, params)[:, 0]
             coef, *_ = np.linalg.lstsq(Phi, y, rcond=None)
             resid = float(np.max(np.abs(Phi @ coef - y)))
-            if resid > tol * max(scale, float(np.max(np.abs(y), initial=0.0))):
+            if resid > CLOSURE_TOL * max(scale, float(np.max(np.abs(y), initial=0.0))):
                 raise ClosureError(i, j, resid)
             c[:, i, j] = coef
             c[:, j, i] = -coef
@@ -289,13 +287,12 @@ def _snap_rational(A, S, T, tol):
 
 
 def match_basis(src: StructureConstants, tgt: StructureConstants,
-                seed: int = 0, restarts: int = 64,
-                tol: float = MATCH_TOL) -> BasisMatch:
+                seed: int = 0) -> BasisMatch:
     """Find A with the transformed commutator table equal to the target's.
 
-    Gauss-Newton from `restarts` starts (the identity, then structured
+    Gauss-Newton from 64 starts (the identity, then structured
     random matrices with entries from {0, +-1, +-2, +-c, +-1/c} jittered).
-    Among starts reaching residual < tol the sparsest result wins.  A
+    Among starts reaching residual < MATCH_TOL the sparsest result wins.  A
     no-match outcome (possibly non-isomorphic algebras) is reported via
     `matched=False`, not an exception.
     """
@@ -307,21 +304,21 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
     pool = _restart_pool(S, T)
 
     best = None  # (n_nonzeros, restart_index, A, residual)
-    for k in range(restarts):
+    for k in range(64):
         if k == 0:
             A0 = np.eye(n)
         else:
             A0 = rng.choice(pool, size=(n, n)) + rng.normal(0.0, 0.05, size=(n, n))
         A, _ = _gauss_newton_match(A0, S, T)
         resid = float(np.max(np.abs(_match_residual(A, S, T))))
-        if resid >= tol or abs(np.linalg.det(A)) <= 1e-9:
+        if resid >= MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
             continue
-        A = _sparsify(A, S, T, tol)
-        A = _normalize_rows(A, S, T, tol)
+        A = _sparsify(A, S, T, MATCH_TOL)
+        A = _normalize_rows(A, S, T, MATCH_TOL)
         A[np.abs(A) < 1e-7] = 0.0
-        A = _snap_rational(A, S, T, tol)
+        A = _snap_rational(A, S, T, MATCH_TOL)
         resid = float(np.max(np.abs(_match_residual(A, S, T))))
-        if resid >= tol:
+        if resid >= MATCH_TOL:
             continue
         nnz = int(np.count_nonzero(A))
         cand = (nnz, k, A, resid)
@@ -330,4 +327,4 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
     if best is None:
         return BasisMatch(np.eye(n), math.inf, False)
     _, _, A, resid = best
-    return BasisMatch(A, resid, True, n_zeros=n * n - int(np.count_nonzero(A)))
+    return BasisMatch(A, resid, True)

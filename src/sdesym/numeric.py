@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import DEFAULT_WINDOW, _max_abs, sample_points
+from .ansatz import DEFAULT_WINDOW, VERIFY_TOL, _max_abs, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
 from .expr import compile_fn, diff, evaluate_points, simplify
 from .transform import TransformMap
@@ -26,6 +26,7 @@ from .transform import TransformMap
 FRESH_SEED_OFFSET = 1_000_003
 KS_P_THRESHOLD = 0.01
 N_CHECKPOINTS = 4
+FLOW_SUBSTEPS = 64
 
 
 class NumericError(ValueError):
@@ -136,18 +137,17 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def residual_check(ds: DeterminingSystem, params=None, n_points: int = 200,
-                   window=DEFAULT_WINDOW, tol: float = 1e-8,
-                   seed: int = 0) -> ResidualReport:
-    """Evaluate every residual at quasi-random points; pass iff the largest
-    magnitude stays below tol.  Points hitting domain errors are rejected
-    and resampled up to a retry cap."""
+def residual_check(ds: DeterminingSystem, params=None,
+                   window=DEFAULT_WINDOW, seed: int = 0) -> ResidualReport:
+    """Evaluate every residual at 200 quasi-random points; pass iff the
+    largest magnitude is <= VERIFY_TOL.  Points hitting domain errors are
+    rejected and resampled up to a retry cap."""
     params = dict(params or {})
-    points = sample_points(n_points, window, seed, reject=ds.residuals,
+    points = sample_points(200, window, seed, reject=ds.residuals,
                            params=params)
     per = _max_abs(evaluate_points(ds.residuals, points, params), axis=0)
     worst = float(_max_abs(per))
-    return ResidualReport(worst, worst < tol, tol, n_points,
+    return ResidualReport(worst, worst <= VERIFY_TOL, VERIFY_TOL, len(points),
                           tuple(float(m) for m in per))
 
 
@@ -255,14 +255,13 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
                 np.add(Fb, acc, out=Fb)
 
 
-def flow_apply(ens: PathEnsemble, v: VectorField, eps: float,
-               params=None, n_sub: int = 64):
+def flow_apply(ens: PathEnsemble, v: VectorField, eps: float, params=None):
     """Transport an ensemble along the flow of a deterministic generator.
 
     Integrates d(beta)/dr = tau(beta), dF/dr = phi(beta, F) from r = 0 to
-    eps (RK4 with `n_sub` substeps plus a step-halving convergence check on
-    a path subsample) and returns the transformed ensemble on the image
-    time grid beta(t_k).
+    eps (RK4 with FLOW_SUBSTEPS substeps plus a step-halving convergence
+    check on a path subsample) and returns the transformed ensemble on the
+    image time grid beta(t_k).
     """
     if v.has_stochastic_part():
         raise FlowError("flow_apply handles deterministic generators only "
@@ -270,13 +269,13 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float,
     if not v.time_only_tau():
         raise FlowError("tau must depend on t only")
     params = dict(params or {})
-    beta, J, newX = _flow_integrate(v, params, eps, n_sub,
+    beta, J, newX = _flow_integrate(v, params, eps, FLOW_SUBSTEPS,
                                     ens.times, ens.paths)
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
     sub = ens.paths[: min(8, ens.n_paths)]
-    beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * n_sub, ens.times, sub)
+    beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * FLOW_SUBSTEPS, ens.times, sub)
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - newX[: sub.shape[0]])
     # aborted or blown-up paths are dropped below, not held against the flow
@@ -422,13 +421,12 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray):
     return d, (_kolmogorov_sf(n, d) if n else math.nan)
 
 
-def _checkpoint_indices(K: int, n: int = N_CHECKPOINTS):
-    idx = sorted({max(1, round(K * (j + 1) / n)) for j in range(n)})
-    return idx
+def _checkpoint_indices(K: int):
+    n = N_CHECKPOINTS
+    return sorted({max(1, round(K * (j + 1) / n)) for j in range(n)})
 
 
-def _compare_ensembles(ens_a: PathEnsemble, ens_b: PathEnsemble,
-                       p_threshold: float) -> KSReport:
+def _compare_ensembles(ens_a: PathEnsemble, ens_b: PathEnsemble) -> KSReport:
     keep_a = ~ens_a.aborted
     keep_b = ~ens_b.aborted
     cps = []
@@ -437,16 +435,14 @@ def _compare_ensembles(ens_a: PathEnsemble, ens_b: PathEnsemble,
         xb = ens_b.paths[keep_b, k]
         stat, p = ks_two_sample(xa, xb)
         cps.append(Checkpoint(float(ens_a.times[k]), stat, p, xa.size, xb.size))
-    ok = all(cp.p_value > p_threshold / len(cps) for cp in cps)
+    ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
     return KSReport(tuple(cps), ok, ens_a.seed, ens_b.seed, ens_a.n_paths,
-                    int(ens_a.aborted.sum() + ens_b.aborted.sum()),
-                    p_threshold)
+                    int(ens_a.aborted.sum() + ens_b.aborted.sum()))
 
 
 def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
                     x0: float = 1.0, h: float = 1e-3, K: int = 1000,
-                    n_paths: int = 2000, seed: int = 0,
-                    p_threshold: float = KS_P_THRESHOLD) -> KSReport:
+                    n_paths: int = 2000, seed: int = 0) -> KSReport:
     """Distributional check that the flow of v maps solutions to solutions.
 
     Simulates the SDE, transports the ensemble along the flow of v, and
@@ -457,16 +453,15 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
     params = sde.bound_params()
     moved = flow_apply(ens, v, eps, params=params)
-    y0 = float(_flow_integrate(v, params, eps, 64, ens.times[0], x0)[2])
+    y0 = float(_flow_integrate(v, params, eps, FLOW_SUBSTEPS, ens.times[0], x0)[2])
     fresh = _simulate_on_grid(sde, y0, moved.times, n_paths,
                               seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(moved, fresh, p_threshold)
+    return _compare_ensembles(moved, fresh)
 
 
 def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
                x0: float = 1.0, h: float = 1e-3, K: int = 1000,
-               n_paths: int = 2000, seed: int = 0,
-               p_threshold: float = KS_P_THRESHOLD) -> KSReport:
+               n_paths: int = 2000, seed: int = 0) -> KSReport:
     """Distributional check that mu maps src solutions to tgt solutions.
 
     Source paths X(t_k) become Y_k = mu2(t_k, X(t_k)) at times s_k =
@@ -496,4 +491,4 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
         y0 = float(np.asarray(mu2(ens.times[0], np.float64(x0)), dtype=float))
     fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
                               seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(moved, fresh, p_threshold)
+    return _compare_ensembles(moved, fresh)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .ansatz import (
     DEFAULT_WINDOW,
+    VERIFY_TOL,
     NonAffineError,
     _fresh_names,
     _linear_combo,
@@ -47,8 +48,6 @@ from .expr import (
     variables_of,
 )
 from .lie import _gauss_newton
-
-MAP_TOL = 1e-8
 
 
 class TransformError(ValueError):
@@ -142,24 +141,23 @@ def _system_max_residual(pairs, tmap: TransformMap, points, params) -> float:
     return float(_max_abs(evaluate_points(system.residuals, points, params)))
 
 
-def _monotone_mu1(mu1: Expr, window, params, n: int = 64) -> bool:
+def _monotone_mu1(mu1: Expr, window, params) -> bool:
     t0, t1 = window[0], window[1]
     xm = 0.5 * (window[2] + window[3])
-    grid = [(t0 + (t1 - t0) * i / (n - 1), xm) for i in range(n)]
+    grid = [(t0 + (t1 - t0) * i / 63, xm) for i in range(64)]
     return bool(np.all(evaluate_points([diff(mu1, "t")], grid, params) > 0.0))
 
 
 def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
               params=None, window=DEFAULT_WINDOW, n_points: int = 64,
-              seed: int = 2026, verify_tol: float = MAP_TOL,
-              pin=None, restarts: int = 32) -> TransformMap:
+              seed: int = 2026, pin=None) -> TransformMap:
     """Solve the map conditions over ansatz dictionaries for mu1 and mu2.
 
     Affine targets take the evaluation-based least-squares path with the
     minimum-coefficient-norm gauge (or a pinned value mu(t0, x0) = (v1, v2)
-    via `pin`); non-affine targets fall back to Gauss-Newton with restarts.
-    The returned map is re-verified on fresh points and checked for
-    monotone mu1.
+    via `pin`); non-affine targets fall back to Gauss-Newton from 32
+    starts.  The returned map is re-verified on fresh
+    points (max |residual| <= VERIFY_TOL) and checked for monotone mu1.
     """
     params = dict(params or {})
     mu1_basis = tuple(mu1_basis)
@@ -196,9 +194,8 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
     try:
         M, b = build_linear_system(system, points, params)
     except NonAffineError:
-        coeffs = _solve_nonlinear(system, points, params, len(unknowns),
-                                  seed, restarts,
-                                  pin=pin, mu_bases=(mu1_basis, mu2_basis))
+        coeffs = _solve_nonlinear(system, points, params, seed, pin,
+                                  (mu1_basis, mu2_basis))
     else:
         coeffs, *_ = np.linalg.lstsq(M, -b, rcond=None)
         feas = float(np.max(np.abs(M @ coeffs + b)))
@@ -213,7 +210,7 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
 
     tmap = _to_map(coeffs)
     resid = _system_max_residual(pairs, tmap, fresh, params)
-    if resid > verify_tol:
+    if resid > VERIFY_TOL:
         raise NoMapError(
             f"candidate map fails re-verification: residual {resid:.3e}")
     if not _monotone_mu1(tmap.mu1, window, params):
@@ -262,11 +259,11 @@ def _apply_pin(M, b, pin, mu1_basis, mu2_basis, params):
     return pinned
 
 
-def _solve_nonlinear(system, points, params, n_unknowns, seed, restarts,
-                     pin=None, mu_bases=None):
+def _solve_nonlinear(system, points, params, seed, pin, mu_bases):
     names = system.unknowns
+    n_unknowns = len(names)
     P, v = np.zeros((0, n_unknowns)), np.zeros(0)
-    if pin is not None and mu_bases is not None:
+    if pin is not None:
         P, v = _pin_rows(pin, *mu_bases, params)
     pts = np.asarray(points, dtype=float)
 
@@ -275,14 +272,14 @@ def _solve_nonlinear(system, points, params, n_unknowns, seed, restarts,
         vals = evaluate_points(system.residuals, grid, params, names).ravel()
         return np.concatenate([np.where(np.isfinite(vals), vals, 1e6), P @ c - v])
 
-    def fd_jacobian(c, h=1e-6):
+    def fd_jacobian(c):
         r = residual_fn(c)
-        return np.column_stack([(residual_fn(c + h * e) - r) / h
+        return np.column_stack([(residual_fn(c + 1e-6 * e) - r) / 1e-6
                                 for e in np.eye(c.size)])
 
     rng = np.random.default_rng(seed)
     best = None
-    for k in range(restarts):
+    for k in range(32):
         x0 = np.zeros(n_unknowns) if k == 0 else rng.normal(0.0, 1.0, n_unknowns)
         x, _ = _gauss_newton(residual_fn, fd_jacobian, x0, max_iter=60)
         resid = float(np.max(np.abs(residual_fn(x))))

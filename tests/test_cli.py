@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from sdesym.ansatz import sample_points
 from sdesym.cli import _load, build_parser, main
 from sdesym.problem import SETTINGS, load_problem
 
@@ -80,6 +81,13 @@ class TestSymmetries:
         path.write_text("[sde]\ndrift = )(\ndiffusion = 1\n")
         code, _, err = run(capsys, "symmetries", str(path))
         assert code == 2
+
+    def test_superscript_digit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "superscript.prob"
+        path.write_text("[sde]\ndrift = ²\ndiffusion = 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: unexpected character '²' (at position 0)\n"
 
     def test_solver_failure_exit_3(self, capsys, tmp_path):
         # linearly dependent dictionary entries make the solve ill-posed
@@ -213,6 +221,20 @@ class TestFindMap:
         assert code == 2
         assert "map.ansatz" in err
 
+    def test_points_reach_the_map_solve(self, capsys, monkeypatch):
+        import sdesym.transform as transform
+
+        counts = []
+
+        def spy(n, *args, **kwargs):
+            counts.append(n)
+            return sample_points(n, *args, **kwargs)
+        monkeypatch.setattr(transform, "sample_points", spy)
+        code, _, _ = run(capsys, "--points", "24", "--paths", "200", "find-map",
+                         prob("langevin-affine.prob"), prob("brownian.prob"))
+        assert code == 0
+        assert counts == [24, 32]  # the solve's points, then max(32, 24 // 2) fresh
+
 
 class TestVerifySymmetry:
     def test_pure_stochastic_pass(self, capsys, gen_file):
@@ -229,6 +251,18 @@ class TestVerifySymmetry:
                            "--eps", "0.2")
         assert code == 0
         assert "checkpoint.4.p_value" in out
+
+    @pytest.mark.parametrize("text, reason", [
+        ("mu1 = t\n", "unknown key 'mu1' (expected tau, phi, phitilde)"),
+        ("", "the generator is zero"),
+        ("tau = 0*t\n", "the generator is zero"),
+    ])
+    def test_not_a_generator_exit_2(self, capsys, gen_file, text, reason):
+        path = gen_file(text)
+        code, out, err = run(capsys, "verify-symmetry", prob("brownian.prob"),
+                             "--generator", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {reason}\n"
 
     def test_bogus_candidate_exit_5(self, capsys, gen_file):
         path = gen_file("tau = 0\nphi = t\nphitilde = 0\n")
@@ -260,6 +294,13 @@ class TestVerifyMap:
         code, out, _ = run(capsys, "verify-map", prob("langevin-affine.prob"),
                            prob("brownian.prob"), "--map", path)
         assert code == 0
+
+    def test_generator_key_in_map_exit_2(self, capsys, gen_file):
+        path = gen_file("mu1 = t\nmu2 = x\ntau = 1\n", "extra.map")
+        code, out, err = run(capsys, "verify-map", prob("langevin-affine.prob"),
+                             "--map", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: unknown key 'tau' (expected mu1, mu2)\n"
 
     def test_singular_initial_state_exit_5(self, capsys, gen_file):
         # brownian starts at x0 = 0, where mu2 = 1/x is singular

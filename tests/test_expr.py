@@ -67,9 +67,12 @@ class TestParse:
             parse("q + 1")
 
     def test_syntax_error_has_position(self):
-        with pytest.raises(ParseError) as err:
-            p("a*(x + ")
-        assert "position" in str(err.value)
+        # a superscript digit is not a decimal digit: a parse error, no crash
+        for text in ("a*(x + ", "²", "1²", "3.5e²"):
+            with pytest.raises(ParseError) as err:
+                p(text)
+            assert "position" in str(err.value)
+        assert p("٣*x") == p("3*x")  # other decimal digits still parse
 
     def test_unary_minus(self):
         assert p("-2").value == Fraction(-2)

@@ -1,4 +1,5 @@
-"""Source hygiene: no private helper is left without a caller."""
+"""Source hygiene: no private helper is left without a caller, and no
+defaulted parameter is left without a call that sets it."""
 
 import ast
 import os
@@ -52,3 +53,65 @@ def test_every_private_name_has_a_use():
             if not any(name in set(_uses(t, skip)) for _, t in modules):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _functions(tree, cls=None):
+    """(function node, class) of every def in the tree, nested ones
+    included; the class is the ClassDef whose body holds the def, or None."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node, cls
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _functions(node, node if isinstance(node, ast.ClassDef) else None)
+        elif not isinstance(node, ast.Lambda):
+            yield from _functions(node, cls)
+
+
+def _defaulted(fn, cls):
+    """(position or None, name) of each parameter with a default; the
+    position counts the arguments of a call, so `self` is not counted."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    if cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list):
+        positional = positional[1:]
+    for k in range(len(positional) - len(a.defaults), len(positional)):
+        yield k, positional[k]
+    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield None, p.arg
+
+
+def _sets(call, position, name) -> bool:
+    """Whether the call passes the parameter; `*` or `**` passes them all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    return (any(k.arg == name for k in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    """A default that no call in the package overrides is a constant, not an
+    option.  Calls are matched to a def by the name they call, so a call to
+    any function of that name counts."""
+    modules = list(_modules())
+    calls = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for module, tree in modules:
+        for fn, cls in _functions(tree):
+            if (module, fn.name) == ("cli.py", "main"):
+                continue  # the console entry point: its caller is outside
+            # a class is called by its own name to run its __init__
+            callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            for position, name in _defaulted(fn, cls):
+                if not any(_sets(c, position, name) for c in calls.get(callee, ())):
+                    unset.append(f"{module}: {fn.name}({name})")
+    assert unset == []
