@@ -9,10 +9,11 @@ Generator printing convention: coefficient vectors are canonicalized
 printed coefficients become the smallest integer pattern a scalar
 rescaling allows, with the first printed coefficient positive.
 
-Exit codes: 0 success/pass, 2 bad option or problem/expression error,
-3 solver failure, 4 algebras do not match (no change of basis found),
-5 numeric verification failure.  `main` maps each error type to its code
-(EXIT_CODES); a command returns only its own pass/fail and no-match codes.
+Exit codes: 0 success/pass, 1 stdout closed by its reader, 2 bad option
+or problem/expression error, 3 solver failure, 4 algebras do not match (no
+change of basis found), 5 numeric verification failure.  `main` maps each
+error type to its code (EXIT_CODES); a command returns only its own
+pass/fail and no-match codes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .problem import (SETTINGS, ProblemError, ProblemFile, load_problem,
 from .transform import PairedSymmetries, TransformError, TransformMap, solve_map
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_NO_MATCH = 4
@@ -341,7 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end quietly
+        import os
+
+        # so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except tuple(t for types, _ in EXIT_CODES for t in types) as e:
         _err(str(e))
         return next(code for types, code in EXIT_CODES if isinstance(e, types))

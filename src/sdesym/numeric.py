@@ -170,10 +170,21 @@ def _flow_integrate(v: VectorField, params, eps: float, n_sub: int,
     (n, K+1) over a grid of shape (K+1,)).  Returns (beta, J, F).
 
     Since tau depends on t only, (beta, J) are integrated once on `times`
-    and each substep's stage times are kept; F is then integrated block by
-    block (`_transport`).  Every value is bit-identical to one RK4 loop
-    over the whole arrays.
+    (`_time_change`) and each substep's stage times are kept; F is then
+    integrated block by block (`_transport`).  Every value is bit-identical
+    to one RK4 loop over the whole arrays.
     """
+    beta, J, stages = _time_change(v, params, eps, n_sub, times)
+    if states is None:
+        return beta, J, None
+    F = np.array(states, dtype=float, copy=True)
+    _transport(compile_fn(v.phi, ("t", "x"), params), eps / n_sub, stages, F)
+    return beta, J, F
+
+
+def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
+    """(beta, J) of the flow at r = eps from beta = `times`, J = 1, and
+    each RK4 substep's four stage times, along which F is transported."""
     tau = compile_fn(v.tau, ("t",), params)
     tau_t = compile_fn(diff(v.tau, "t"), ("t",), params)
     beta = np.array(times, dtype=float, copy=True)
@@ -200,12 +211,7 @@ def _flow_integrate(v: VectorField, params, eps: float, n_sub: int,
             stages.append((beta, b2, b3, b4))
             beta = beta + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
             J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    if states is None:
-        return beta, J, None
-    F = np.array(states, dtype=float, copy=True)
-    phi = compile_fn(v.phi, ("t", "x"), params)
-    _transport(phi, h, stages, F)
-    return beta, J, F
+    return beta, J, stages
 
 
 def _transport(phi, h: float, stages, F: np.ndarray) -> None:
@@ -255,29 +261,31 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
                 np.add(Fb, acc, out=Fb)
 
 
-def flow_apply(ens: PathEnsemble, v: VectorField, eps: float, params=None):
-    """Transport an ensemble along the flow of a deterministic generator.
+def _flow_image(ens: PathEnsemble, v: VectorField, eps: float, params, cols):
+    """The flow of v on ens and the checks of flow_apply and verify_symmetry.
 
-    Integrates d(beta)/dr = tau(beta), dF/dr = phi(beta, F) from r = 0 to
-    eps (RK4 with FLOW_SUBSTEPS substeps plus a step-halving convergence
-    check on a path subsample) and returns the transformed ensemble on the
-    image time grid beta(t_k).
+    Returns (beta, F, aborted): the image grid, the images of every path at
+    the grid columns `cols` (a slice or an index array), and the paths
+    whose simulation aborted or whose image is non-finite there.  The
+    checks run on the whole grid; F has the bits of a whole transport.
     """
     if v.has_stochastic_part():
         raise FlowError("flow_apply handles deterministic generators only "
                         "(phitilde must vanish)")
     if not v.time_only_tau():
         raise FlowError("tau must depend on t only")
-    params = dict(params or {})
-    beta, J, newX = _flow_integrate(v, params, eps, FLOW_SUBSTEPS,
-                                    ens.times, ens.paths)
+    phi = compile_fn(v.phi, ("t", "x"), params)
+    h = eps / FLOW_SUBSTEPS
+    beta, J, stages = _time_change(v, params, eps, FLOW_SUBSTEPS, ens.times)
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
-    sub = ens.paths[: min(8, ens.n_paths)]
-    beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * FLOW_SUBSTEPS, ens.times, sub)
+    sub = np.array(ens.paths[: min(8, ens.n_paths)], copy=True)
+    beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * FLOW_SUBSTEPS,
+                                     ens.times, sub)
+    _transport(phi, h, stages, sub)
     with np.errstate(invalid="ignore"):
-        diffs = np.abs(sub2 - newX[: sub.shape[0]])
+        diffs = np.abs(sub2 - sub)
     # aborted or blown-up paths are dropped below, not held against the flow
     conv = max(float(_max_abs(beta - beta2)),
                float(np.max(diffs[np.isfinite(diffs)], initial=0.0)))
@@ -286,7 +294,22 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float, params=None):
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    aborted = ens.aborted | ~np.all(np.isfinite(newX), axis=1)
+    # a grid-major copy of the columns, as simulated ensembles are stored
+    F = np.array(ens.paths.T[cols], copy=True).T
+    _transport(phi, h, [[s[cols] for s in st] for st in stages], F)
+    return beta, F, ens.aborted | ~np.all(np.isfinite(F), axis=1)
+
+
+def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
+    """Transport an ensemble along the flow of a deterministic generator
+    whose expressions bind no parameter.
+
+    Integrates d(beta)/dr = tau(beta), dF/dr = phi(beta, F) from r = 0 to
+    eps (RK4 with FLOW_SUBSTEPS substeps plus a step-halving convergence
+    check on a path subsample) and returns the transformed ensemble on the
+    image time grid beta(t_k), every grid time included.
+    """
+    beta, newX, aborted = _flow_image(ens, v, eps, {}, slice(None))
     newX[aborted] = np.nan
     return PathEnsemble(beta, newX, ens.seed, aborted)
 
@@ -426,18 +449,21 @@ def _checkpoint_indices(K: int):
     return sorted({max(1, round(K * (j + 1) / n)) for j in range(n)})
 
 
-def _compare_ensembles(ens_a: PathEnsemble, ens_b: PathEnsemble) -> KSReport:
-    keep_a = ~ens_a.aborted
-    keep_b = ~ens_b.aborted
+def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
+                       fresh: PathEnsemble) -> KSReport:
+    """KS tests at fresh's checkpoints of `image`, the (n_paths, checkpoint)
+    values of an ensemble there, against fresh; aborted paths are left out."""
+    keep_a = ~aborted
+    keep_b = ~fresh.aborted
     cps = []
-    for k in _checkpoint_indices(ens_a.n_steps):
-        xa = ens_a.paths[keep_a, k]
-        xb = ens_b.paths[keep_b, k]
+    for j, k in enumerate(_checkpoint_indices(fresh.n_steps)):
+        xa = image[keep_a, j]
+        xb = fresh.paths[keep_b, k]
         stat, p = ks_two_sample(xa, xb)
-        cps.append(Checkpoint(float(ens_a.times[k]), stat, p, xa.size, xb.size))
+        cps.append(Checkpoint(float(fresh.times[k]), stat, p, xa.size, xb.size))
     ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
-    return KSReport(tuple(cps), ok, ens_a.seed, ens_b.seed, ens_a.n_paths,
-                    int(ens_a.aborted.sum() + ens_b.aborted.sum()))
+    return KSReport(tuple(cps), ok, seed, fresh.seed, image.shape[0],
+                    int(aborted.sum() + fresh.aborted.sum()))
 
 
 def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
@@ -448,15 +474,17 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     Simulates the SDE, transports the ensemble along the flow of v, and
     compares its marginals (4 checkpoints, two-sample KS) against a fresh
     ensemble of the same SDE started at the transformed initial state on
-    the image time grid.
+    the image time grid.  The time change and its checks run on the whole
+    grid; the paths are transported at the checkpoints only.
     """
     ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
     params = sde.bound_params()
-    moved = flow_apply(ens, v, eps, params=params)
+    beta, image, aborted = _flow_image(ens, v, eps, params,
+                                       _checkpoint_indices(K))
     y0 = float(_flow_integrate(v, params, eps, FLOW_SUBSTEPS, ens.times[0], x0)[2])
-    fresh = _simulate_on_grid(sde, y0, moved.times, n_paths,
-                              seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(moved, fresh)
+    del ens  # the source paths are not alive during the fresh simulation
+    fresh = _simulate_on_grid(sde, y0, beta, n_paths, seed + FRESH_SEED_OFFSET)
+    return _compare_ensembles(image, aborted, seed, fresh)
 
 
 def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
@@ -466,7 +494,8 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
 
     Source paths X(t_k) become Y_k = mu2(t_k, X(t_k)) at times s_k =
     mu1(t_k); a fresh target ensemble is simulated on {s_k} from mu2(0, x0)
-    and the marginals are compared at 4 checkpoints by two-sample KS.
+    and the marginals are compared at 4 checkpoints by two-sample KS.  mu1
+    is checked on the whole grid; mu2 is evaluated at the checkpoints only.
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
@@ -479,16 +508,15 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
         raise NumericError("mu1 is not strictly increasing on the window")
     s_times = np.asarray(mu1(ens.times), dtype=float)
     mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
-    t_mat = np.broadcast_to(ens.times, ens.paths.shape)
+    cols = _checkpoint_indices(K)
+    X = ens.paths[:, cols]
     with np.errstate(all="ignore"):
-        Y = np.asarray(mu2(t_mat, ens.paths), dtype=float)
-    aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
-    moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
-                         ens.seed, aborted)
-    del Y  # not alive during the target simulation below
-    with np.errstate(all="ignore"):
+        image = np.broadcast_to(np.asarray(mu2(ens.times[cols], X), dtype=float),
+                                X.shape)
         # numpy arithmetic, so a singular mu2 gives inf rather than raising
         y0 = float(np.asarray(mu2(ens.times[0], np.float64(x0)), dtype=float))
+    aborted = ens.aborted | ~np.all(np.isfinite(image), axis=1)
+    del ens  # the source paths are not alive during the target simulation
     fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
                               seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(moved, fresh)
+    return _compare_ensembles(image, aborted, seed, fresh)

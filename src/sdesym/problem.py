@@ -177,11 +177,26 @@ def parse_ansatz_spec(text: str, variables, parameters) -> tuple:
     return tuple(entries)
 
 
-def _parse_value(text: str) -> float:
+def _param_value(text: str, where: str) -> float:
     try:
-        return float(text)
+        if math.isfinite(value := float(text)):
+            return value
     except ValueError:
-        raise ProblemError(f"expected a number, got '{text}'")
+        pass
+    raise ProblemError(f"{where} must be a finite number, got {text!r}")
+
+
+def _unique(entries, keys, what: str):
+    """Yield the (where, key, value) entries in order, refusing a key
+    outside `keys` (named `what` in the error) or one seen before."""
+    seen = set()
+    for where, key, value in entries:
+        if key not in keys:
+            raise ProblemError(f"{where}: unknown {what} '{key}'")
+        if key in seen:
+            raise ProblemError(f"{where}: duplicate {key}")
+        seen.add(key)
+        yield where, key, value
 
 
 _KNOWN_SECTIONS = ("declare", "sde", "ansatz", "target.sde", "map.ansatz", "numeric")
@@ -211,12 +226,11 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
                 if parts[1] not in variables:
                     variables.append(parts[1])
             elif parts[0] == "param":
-                rest = line[len("param"):].strip()
-                if "=" in rest:
-                    nm, val = rest.split("=", 1)
-                    params[nm.strip()] = _parse_value(val.strip())
-                else:
-                    params[rest] = None
+                nm, eq, val = line[len("param"):].partition("=")
+                nm, val = nm.strip(), val.strip()
+                if nm in params:
+                    raise ProblemError(f"{where}: duplicate param {nm}")
+                params[nm] = _param_value(val, f"{where}: param {nm}") if eq else None
             else:
                 raise ProblemError(
                     f"{where}: expected 'var NAME' or 'param NAME [= value]'")
@@ -235,22 +249,12 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
             raise ProblemError(f"{where}: {err}") from None
 
     def sde_of(name):
-        drift = diffusion = None
-        for where, key, value in sections.get(name, []):
-            if key == "drift":
-                if drift is not None:
-                    raise ProblemError(f"{where}: duplicate drift")
-                drift = expr_of(where, value)
-            elif key == "diffusion":
-                if diffusion is not None:
-                    raise ProblemError(f"{where}: duplicate diffusion")
-                diffusion = expr_of(where, value)
-            else:
-                raise ProblemError(f"{where}: unknown [{name}] key '{key}'")
-        if drift is None or diffusion is None:
+        parts = {key: expr_of(where, value) for where, key, value in _unique(
+            sections.get(name, []), ("drift", "diffusion"), f"[{name}] key")}
+        if len(parts) < 2:
             raise ProblemError(
                 f"{path}: [{name}] needs exactly one drift and one diffusion")
-        return Sde(drift, diffusion, dict(params))
+        return Sde(parts["drift"], parts["diffusion"], dict(params))
 
     if "sde" in sections:
         pf.sde = sde_of("sde")
@@ -258,9 +262,8 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
         pf.target = sde_of("target.sde")
 
     slots = {"tau": (), "phi": (), "phitilde": ()}
-    for where, key, value in sections.get("ansatz", []):
-        if key not in slots:
-            raise ProblemError(f"{where}: unknown ansatz slot '{key}'")
+    for where, key, value in _unique(sections.get("ansatz", []), slots,
+                                     "ansatz slot"):
         try:
             slots[key] = parse_ansatz_spec(value, pf.variables, tuple(params))
         except ExprError as err:
@@ -268,18 +271,16 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
     pf.ansatz = Ansatz(**slots)
 
     mu = {"mu1": (), "mu2": ()}
-    for where, key, value in sections.get("map.ansatz", []):
-        if key not in mu:
-            raise ProblemError(f"{where}: unknown map.ansatz slot '{key}'")
+    for where, key, value in _unique(sections.get("map.ansatz", []), mu,
+                                     "map.ansatz slot"):
         try:
             mu[key] = parse_ansatz_spec(value, pf.variables, tuple(params))
         except ExprError as err:
             raise ProblemError(f"{where}: {err}") from None
     pf.map_mu1, pf.map_mu2 = mu["mu1"], mu["mu2"]
 
-    for where, key, value in sections.get("numeric", []):
-        if key not in SETTINGS:
-            raise ProblemError(f"{where}: unknown numeric key '{key}'")
+    for where, key, value in _unique(sections.get("numeric", []), SETTINGS,
+                                     "numeric key"):
         pf.numeric[key] = read_setting(key, value, f"{where}: {key}")
     return pf
 
@@ -312,6 +313,8 @@ def parse_field_file(path: str, variables, parameters) -> dict:
         key = key.strip()
         if key not in ("tau", "phi", "phitilde", "mu1", "mu2"):
             raise ProblemError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in out:
+            raise ProblemError(f"{path}:{lineno}: duplicate {key}")
         try:
             out[key] = parse(value.strip(), variables, parameters)
         except ExprError as err:

@@ -264,6 +264,15 @@ class TestVerifySymmetry:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: {reason}\n"
 
+    def test_repeated_key_exit_2(self, capsys, gen_file):
+        # the last line used to win: the field `tau = 2*t, phi = 0` was
+        # checked with no word about the first phi
+        path = gen_file("tau = 2*t\nphi = x\nphi = 0\n")
+        code, out, err = run(capsys, "verify-symmetry", prob("brownian.prob"),
+                             "--generator", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:3: duplicate phi\n"
+
     def test_bogus_candidate_exit_5(self, capsys, gen_file):
         path = gen_file("tau = 0\nphi = t\nphitilde = 0\n")
         code, out, _ = run(capsys, "verify-symmetry", prob("brownian.prob"),
@@ -301,6 +310,23 @@ class TestVerifyMap:
                              "--map", path)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: unknown key 'tau' (expected mu1, mu2)\n"
+
+    def test_repeated_key_exit_2(self, capsys, gen_file):
+        path = gen_file("mu1 = t\nmu2 = x*exp(-alpha*t)\n\nmu1 = 2*t\n", "twice.map")
+        code, out, err = run(capsys, "verify-map", prob("langevin-affine.prob"),
+                             "--map", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: duplicate mu1\n"
+
+    def test_constant_map_is_no_crash(self, capsys, gen_file):
+        # a constant mu2 used to end in a numpy AxisError traceback; every
+        # mapped path sits at 1, so the check fails
+        path = gen_file("mu1 = t\nmu2 = 1\n", "constant.map")
+        code, out, err = run(capsys, "--paths", "100", "verify-map",
+                             prob("brownian.prob"), prob("brownian.prob"),
+                             "--map", path)
+        assert (code, err) == (5, "")
+        assert "pass = false" in out
 
     def test_singular_initial_state_exit_5(self, capsys, gen_file):
         # brownian starts at x0 = 0, where mu2 = 1/x is singular
@@ -371,6 +397,35 @@ def test_bad_option_exits_2(option, value, gen_file):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("name, old, new, reason", [
+    # a second tau line used to replace the first: basis.n = 3, exit 0
+    ("brownian.prob", "phi = poly(x;1)\n", "phi = poly(x;1)\ntau = poly(t;0)\n",
+     "13: duplicate tau"),
+    # nan used to reach the solver and fail in sampling, naming no parameter
+    ("langevin.prob", "param a = 1.0", "param a = nan",
+     "5: param a must be a finite number, got 'nan'"),
+])
+def test_shipped_problem_edit_refused(capsys, tmp_path, name, old, new, reason):
+    path = tmp_path / name
+    path.write_text(open(prob(name), encoding="utf-8").read().replace(old, new, 1))
+    code, out, err = run(capsys, "symmetries", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{reason}\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader goes away before the command prints: exit 1, no traceback
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "sdesym.cli", "symmetries",
+                             prob("brownian.prob")], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_cold_import_loads_no_scipy():
     # scipy.stats alone took most of a cold command's start-up; the runtime
     # needs numpy only, and scipy stays a test oracle
@@ -419,12 +474,14 @@ def settings_command(key, problem, gen_file, value=None):
 
 
 def with_setting(tmp_path, key, value):
-    """brownian.prob with `key = value` appended to its [numeric] section;
-    returns the path and the line number of the setting."""
-    text = open(prob("brownian.prob")).read()
+    """brownian.prob with its `key` line, if any, moved to the end of its
+    [numeric] section as `key = value` (a repeated key is refused); returns
+    the path and the line number of the setting."""
+    lines = [ln for ln in open(prob("brownian.prob")).read().splitlines()
+             if ln.partition("=")[0].strip() != key]
     path = tmp_path / "setting.prob"
-    path.write_text(text + f"{key} = {value}\n")
-    return str(path), len(text.splitlines()) + 1
+    path.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+    return str(path), len(lines) + 1
 
 
 @pytest.mark.parametrize("key, value", BAD_SETTINGS,

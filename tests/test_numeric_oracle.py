@@ -4,22 +4,37 @@ The reference implementations below are the straightforward loops: one
 Euler-Maruyama step over a (n_paths, K+1) array per grid time, and one RK4
 substep over the whole (beta, J, F) arrays at a time.  The production code
 must reproduce every bit of them, NaNs included.
+
+The verifiers move paths only at the KS checkpoints.  The references
+`reference_verify_symmetry` and `reference_verify_map` move every cell of
+the ensemble, as the verifiers once did, and must print the same report.
 """
 
 import numpy as np
 import pytest
 
 from sdesym.determining import Sde, VectorField
-from sdesym.expr import compile_fn, diff, parse
+from sdesym.expr import compile_fn, diff, parse, simplify
 from sdesym.numeric import (
     _FLOW_BLOCK_CELLS,
+    FRESH_SEED_OFFSET,
+    KS_P_THRESHOLD,
+    Checkpoint,
     FlowError,
+    KSReport,
     NumericError,
+    PathEnsemble,
+    _checkpoint_indices,
+    _flow_image,
     _flow_integrate,
     _simulate_on_grid,
     euler_maruyama,
     flow_apply,
+    ks_two_sample,
+    verify_map,
+    verify_symmetry,
 )
+from sdesym.transform import TransformMap
 
 P = ("a", "b")
 
@@ -90,6 +105,70 @@ def reference_flow(v, params, eps, n_sub, times, states=None):
             beta = beta + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
             J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
     return beta, J, F
+
+
+def reference_flow_apply(ens, v, eps, params):
+    """Every cell of the ensemble moved, with the checks of the verifier;
+    a path is dropped when its image is non-finite at any grid time."""
+    beta, J, F = reference_flow(v, params, eps, 64, ens.times, ens.paths)
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
+        raise FlowError("time change is not finite at this eps")
+    sub = ens.paths[: min(8, ens.n_paths)]
+    beta2, _, sub2 = reference_flow(v, params, eps, 128, ens.times, sub)
+    with np.errstate(invalid="ignore"):
+        diffs = np.abs(sub2 - F[: sub.shape[0]])
+    conv = max(float(np.max(np.abs(beta - beta2))),
+               float(np.max(diffs[np.isfinite(diffs)], initial=0.0)))
+    if conv > 1e-8:
+        raise FlowError(
+            f"flow integration did not converge (step-halving difference {conv:.3e})")
+    if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
+        raise FlowError("time change lost monotonicity at this eps")
+    aborted = ens.aborted | ~np.all(np.isfinite(F), axis=1)
+    return PathEnsemble(beta, np.where(aborted[:, None], np.nan, F),
+                        ens.seed, aborted)
+
+
+def reference_compare(moved, fresh):
+    """KS tests of two whole ensembles at the checkpoints."""
+    keep_a, keep_b = ~moved.aborted, ~fresh.aborted
+    cps = []
+    for k in _checkpoint_indices(moved.n_steps):
+        xa, xb = moved.paths[keep_a, k], fresh.paths[keep_b, k]
+        stat, pv = ks_two_sample(xa, xb)
+        cps.append(Checkpoint(float(moved.times[k]), stat, pv, xa.size, xb.size))
+    ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
+    return KSReport(tuple(cps), ok, moved.seed, fresh.seed, moved.n_paths,
+                    int(moved.aborted.sum() + fresh.aborted.sum()))
+
+
+def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
+    ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
+    params = sde.bound_params()
+    moved = reference_flow_apply(ens, v, eps, params)
+    y0 = float(reference_flow(v, params, eps, 64, np.array(0.0),
+                              np.array(x0))[2])
+    fresh = _simulate_on_grid(sde, y0, moved.times, n_paths,
+                              seed + FRESH_SEED_OFFSET)
+    return reference_compare(moved, fresh)
+
+
+def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
+    params = {**src.bound_params(), **tgt.bound_params()}
+    ens = euler_maruyama(src, x0, h, K, n_paths, seed)
+    s_times = np.asarray(compile_fn(simplify(tmap.mu1), ("t",), params)(ens.times),
+                         dtype=float)
+    mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
+    with np.errstate(all="ignore"):
+        Y = np.asarray(mu2(np.broadcast_to(ens.times, ens.paths.shape),
+                           ens.paths), dtype=float)
+        y0 = float(np.asarray(mu2(0.0, np.float64(x0)), dtype=float))
+    aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
+    moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
+                         ens.seed, aborted)
+    fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
+                              seed + FRESH_SEED_OFFSET)
+    return reference_compare(moved, fresh)
 
 
 def same(a, b):
@@ -211,3 +290,94 @@ class TestNonFiniteTimes:
     def test_non_finite_grid_is_refused(self, grid):
         with pytest.raises(NumericError, match="finite"):
             _simulate_on_grid(BROWNIAN, 0.0, np.array(grid), 4, 0)
+
+
+# the verifiers' ensembles: fewer cells than the CLI's 2000 x 1000, still
+# many transport blocks
+VERIFY_SIZE = {"h": 2e-3, "K": 400, "n_paths": 700}
+VERIFY_SEEDS = (1, 2, 3, 7, 42)
+LANGEVIN = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
+SYMMETRIES = {
+    "scaling": (BROWNIAN, VectorField(p("2*t"), p("x")), 0.2, 0.5),
+    "langevin": (LANGEVIN, VectorField(phi=p("exp(a*t)")), 0.2, 1.0),
+}
+OU = Sde(p("x"), p("1"))
+MAPS = {
+    "paper": TransformMap(parse("-1/2*exp(-2*t)"), parse("x*exp(-t)")),
+    "wrong": TransformMap(parse("-1/2*exp(-2*t)"), parse("x")),
+}
+
+
+class TestCheckpointTransport:
+    @pytest.mark.parametrize("seed", VERIFY_SEEDS)
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    def test_verify_symmetry_report_unchanged(self, name, seed):
+        sde, v, eps, x0 = SYMMETRIES[name]
+        got = verify_symmetry(sde, v, eps, x0=x0, seed=seed, **VERIFY_SIZE)
+        want = reference_verify_symmetry(sde, v, eps, x0, seed=seed,
+                                         **VERIFY_SIZE)
+        assert got.to_kv() == want.to_kv()
+
+    @pytest.mark.parametrize("seed", VERIFY_SEEDS)
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_verify_map_report_unchanged(self, name, seed):
+        got = verify_map(OU, BROWNIAN, MAPS[name], x0=1.0, seed=seed,
+                         **VERIFY_SIZE)
+        want = reference_verify_map(OU, BROWNIAN, MAPS[name], 1.0, seed=seed,
+                                    **VERIFY_SIZE)
+        assert got.to_kv() == want.to_kv()
+        assert got.passed == (name == "paper")
+
+    @pytest.mark.parametrize("eps", (0.2, -0.15))
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_checkpoint_cells_bit_identical(self, name, eps):
+        ens = euler_maruyama(BROWNIAN, 0.5, 2e-3, 300, 500, seed=7)
+        cols = _checkpoint_indices(300)
+        params = {"a": 1.0}
+        beta, image, aborted = _flow_image(ens, FIELDS[name], eps, params, cols)
+        full_beta, full, _ = _flow_image(ens, FIELDS[name], eps, params,
+                                         slice(None))
+        assert same(beta, full_beta) and same(image, full[:, cols])
+        want = reference_flow(FIELDS[name], params, eps, 64, ens.times, ens.paths)
+        assert same(beta, want[0]) and same(image, want[2][:, cols])
+        assert not aborted.any()
+        if name != "t-dependent":   # flow_apply binds no parameter
+            assert same(image, flow_apply(ens, FIELDS[name], eps).paths[:, cols])
+
+    @pytest.mark.parametrize("v, eps, size", [
+        (VectorField(p("t^2"), p("x")), 1.5, (1e-2, 100, 16)),
+        (VectorField(tau=p("2 - 3*t")), 12.0, (1e-1, 10, 4)),
+    ])
+    def test_same_flow_errors(self, v, eps, size):
+        h, K, n = size
+        ens = euler_maruyama(BROWNIAN, 0.0, h, K, n, seed=1)
+        with pytest.raises(FlowError) as want:
+            flow_apply(ens, v, eps)
+        with pytest.raises(FlowError) as got:
+            verify_symmetry(BROWNIAN, v, eps, x0=0.0, h=h, K=K, n_paths=n,
+                            seed=1)
+        assert str(got.value) == str(want.value)
+
+    def test_abort_rule_reads_the_checkpoints(self):
+        # K = 8: the checkpoints are grid times 2, 4, 6 and 8.  log(x) is
+        # nan for x < 0, so the first path's image is non-finite at grid
+        # time 3 only, the second's at grid time 4 only
+        paths = np.ones((2, 9))
+        paths[0, 3] = paths[1, 4] = -1.0
+        ens = PathEnsemble(np.arange(9) / 8, paths, 0, np.zeros(2, dtype=bool))
+        v = VectorField(p("0"), p("log(x)"))
+        _, image, aborted = _flow_image(ens, v, 0.1, {}, _checkpoint_indices(8))
+        assert aborted.tolist() == [False, True]
+        assert np.all(np.isfinite(image[0]))
+        # the whole-grid image drops both
+        assert flow_apply(ens, v, 0.1).aborted.tolist() == [True, True]
+
+    @pytest.mark.parametrize("pole, dropped", [("3/8", 0), ("1/4", 600)])
+    def test_verify_symmetry_drops_at_checkpoints_only(self, pole, dropped):
+        # every image is infinite at the pole t = 3/8 (between checkpoints)
+        # or t = 1/4 (a checkpoint); the whole-grid reference drops every
+        # path in both cases
+        v = VectorField(p("0"), p(f"1/(t - {pole})"))
+        size = {"x0": 0.0, "h": 0.125, "K": 8, "n_paths": 600, "seed": 3}
+        assert verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == dropped
+        assert reference_verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == 600

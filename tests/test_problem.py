@@ -92,6 +92,31 @@ class TestProblemFile:
         with pytest.raises(ProblemError, match="duplicate"):
             parse_problem_text(text)
 
+    # a repeated key is refused in every section, never overwritten by the
+    # last line
+    @pytest.mark.parametrize("section, lines, key", [
+        ("ansatz", "tau = poly(t;1)\nphi = poly(x;1)\ntau = poly(t;0)", "tau"),
+        ("map.ansatz", "mu1 = poly(t;1)\nmu2 = poly(x;1)\nmu2 = x", "mu2"),
+        ("numeric", "seed = 1\npaths = 100\nseed = 7", "seed"),
+        ("declare", "param a = 1.0\nparam b\nparam a = 2.0", "param a"),
+        ("declare", "param a\nvar z\nparam a", "param a"),
+    ])
+    def test_repeated_key_rejected(self, section, lines, key):
+        text = f"[sde]\ndrift = 0\ndiffusion = 1\n[{section}]\n{lines}\n"
+        with pytest.raises(ProblemError) as err:
+            parse_problem_text(text, path="p.prob")
+        assert str(err.value) == f"p.prob:7: duplicate {key}"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "one"])
+    def test_param_value_must_be_finite(self, value):
+        def text(v):
+            return f"[declare]\nparam a = {v}\n[sde]\ndrift = a*x\ndiffusion = 1\n"
+        with pytest.raises(ProblemError) as err:
+            parse_problem_text(text(value), path="p.prob")
+        assert str(err.value) == (
+            f"p.prob:2: param a must be a finite number, got '{value}'")
+        assert parse_problem_text(text("-0.0")).params == {"a": 0.0}
+
     def test_missing_diffusion_rejected(self):
         with pytest.raises(ProblemError, match="exactly one"):
             parse_problem_text("[sde]\ndrift = 0\n")
