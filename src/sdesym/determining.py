@@ -79,7 +79,7 @@ class VectorField:
         if not simplify(self.phi).is_zero():
             det.append(f"{_coef_str(self.phi)}d/dx")
         if det:
-            parts.append("[" + " + ".join(det) + "]^D")
+            parts.append("[" + " + ".join(det).replace(" + -", " - ") + "]^D")
         if not simplify(self.phitilde).is_zero():
             parts.append(f"[{_coef_str(self.phitilde)}d/dx]^S")
         return " + ".join(parts) if parts else "0"

@@ -67,53 +67,72 @@ class PathEnsemble:
         return self.paths[~self.aborted, -1]
 
 
-def _simulate_on_grid(sde: Sde, x0: float, times: np.ndarray,
-                      n_paths: int, seed: int) -> PathEnsemble:
+def _grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
             or np.any(np.diff(times) <= 0)):
         raise NumericError("time grid must be finite and strictly increasing")
+    return times
+
+
+def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
+    """Euler-Maruyama on the grid `times`, driven by the (n_paths, K) standard
+    normals `normals`: X_{k+1} = (X_k + f h_k) + g dW_k, summed in this order,
+    with dW_k = normals[:, k] * sqrt(h_k), on two rotating state rows.
+
+    Returns (X, sub, aborted): every path at the increasing grid rows `rows`,
+    the first min(8, n_paths) paths at every grid time, and the paths that hit
+    a singularity or left the float range.  A non-finite state stays
+    non-finite under a step, so those are the paths whose last state is
+    non-finite, and they read NaN from the abort on.
+    """
+    times = _grid(times)
     if not math.isfinite(x0):
         raise NumericError(f"initial state {x0} is not finite")
-    K = times.size - 1
+    n, K = len(normals), times.size - 1
     params = sde.bound_params()
     f = compile_fn(sde.drift, ("t", "x"), params)
     g = compile_fn(sde.diffusion, ("t", "x"), params)
-    # one (n_paths, K) draw in row-major order: path i's increments depend
-    # on (seed, i, K) and do not change with n_paths
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    normals = rng.standard_normal((n_paths, K))
     steps = np.diff(times)
-    # step-major storage: row k holds every path at times[k], so each step
-    # reads and writes contiguous memory; the increments dW are freed on
-    # return
-    dW = np.empty((K, n_paths))
-    np.multiply(normals.T, np.sqrt(steps)[:, None], out=dW)
-    del normals
-    X = np.empty((K + 1, n_paths))
-    X[0] = x0
-    aborted = np.zeros(n_paths, dtype=bool)
-    tmp = np.empty(n_paths)
+    X = np.empty((len(rows), n))
+    kept = dict(zip(rows, X))
+    tmp, dW, *spare = np.empty((4, n))
+    sub = np.empty((K + 1, min(8, n)))
+    x = kept.get(0, spare[1])
+    x[...] = sub[0] = x0
     with np.errstate(all="ignore"):
         for k in range(K):
-            xk, nxt = X[k], X[k + 1]
-            # X_{k+1} = (X_k + f h) + g dW, summed in this order
-            np.multiply(f(times[k], xk), steps[k], out=tmp)
-            np.add(xk, tmp, out=nxt)
-            np.multiply(g(times[k], xk), dW[k], out=tmp)
-            np.add(nxt, tmp, out=nxt)
-            aborted |= ~np.isfinite(nxt)
-            nxt[aborted] = np.nan
-    return PathEnsemble(times, X.T, seed, aborted)
+            nxt = kept.get(k + 1, spare[k % 2])
+            np.multiply(f(times[k], x), steps[k], out=tmp)
+            np.add(x, tmp, out=nxt)
+            np.multiply(normals[:, k], math.sqrt(steps[k]), out=dW)
+            np.multiply(g(times[k], x), dW, out=dW)
+            np.add(nxt, dW, out=nxt)
+            sub[k + 1] = nxt[:sub.shape[1]]
+            x = nxt
+    for a in (X, sub):
+        a[~np.isfinite(a)] = np.nan
+    return X, sub, ~np.isfinite(x)
+
+
+def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
+                      seed: int, rows):
+    """(times, X, sub, aborted) of `_simulate_on_grid` on the grid times = k h,
+    driven by the normals of `seed`: path i's depend on (seed, i, K) only."""
+    if h <= 0:
+        raise NumericError("step size h must be positive")
+    times = _grid(np.arange(K + 1, dtype=float) * h)
+    normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (n_paths, K))
+    return (times, *_simulate_on_grid(sde, x0, times, normals, rows))
 
 
 def euler_maruyama(sde: Sde, x0: float, h: float, K: int,
                    n_paths: int, seed: int) -> PathEnsemble:
     """Strong order-1/2 scheme X_{k+1} = X_k + f h + g dW on a uniform grid."""
-    if h <= 0:
-        raise NumericError("step size h must be positive")
-    times = np.arange(K + 1, dtype=float) * h
-    return _simulate_on_grid(sde, x0, times, n_paths, seed)
+    times, X, _, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed,
+                                             range(K + 1))
+    return PathEnsemble(times, X.T, seed, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +280,15 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
                 np.add(Fb, acc, out=Fb)
 
 
-def _flow_image(ens: PathEnsemble, v: VectorField, eps: float, params, cols):
-    """The flow of v on ens and the checks of flow_apply and verify_symmetry.
+def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
+                aborted):
+    """The flow of v and the checks of flow_apply and verify_symmetry, which
+    run on the source grid `times` and `sub`, the first few paths there
+    (moved in place).
 
-    Returns (beta, F, aborted): the image grid, the images of every path at
-    the grid columns `cols` (a slice or an index array), and the paths
-    whose simulation aborted or whose image is non-finite there.  The
-    checks run on the whole grid; F has the bits of a whole transport.
+    X holds every path at the grid columns `cols` (a slice or an index
+    array).  Returns the image grid, the images of X with the bits of a
+    whole transport, and `aborted` or'ed with a non-finite image.
     """
     if v.has_stochastic_part():
         raise FlowError("flow_apply handles deterministic generators only "
@@ -276,13 +297,12 @@ def _flow_image(ens: PathEnsemble, v: VectorField, eps: float, params, cols):
         raise FlowError("tau must depend on t only")
     phi = compile_fn(v.phi, ("t", "x"), params)
     h = eps / FLOW_SUBSTEPS
-    beta, J, stages = _time_change(v, params, eps, FLOW_SUBSTEPS, ens.times)
+    beta, J, stages = _time_change(v, params, eps, FLOW_SUBSTEPS, times)
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
-    sub = np.array(ens.paths[: min(8, ens.n_paths)], copy=True)
     beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * FLOW_SUBSTEPS,
-                                     ens.times, sub)
+                                     times, sub)
     _transport(phi, h, stages, sub)
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - sub)
@@ -294,10 +314,9 @@ def _flow_image(ens: PathEnsemble, v: VectorField, eps: float, params, cols):
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    # a grid-major copy of the columns, as simulated ensembles are stored
-    F = np.array(ens.paths.T[cols], copy=True).T
+    F = np.array(X, copy=True)
     _transport(phi, h, [[s[cols] for s in st] for st in stages], F)
-    return beta, F, ens.aborted | ~np.all(np.isfinite(F), axis=1)
+    return beta, F, aborted | ~np.all(np.isfinite(F), axis=1)
 
 
 def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
@@ -309,7 +328,8 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
     check on a path subsample) and returns the transformed ensemble on the
     image time grid beta(t_k), every grid time included.
     """
-    beta, newX, aborted = _flow_image(ens, v, eps, {}, slice(None))
+    beta, newX, aborted = _flow_image(v, eps, {}, ens.times, ens.paths[:8].copy(),
+                                      slice(None), ens.paths, ens.aborted)
     newX[aborted] = np.nan
     return PathEnsemble(beta, newX, ens.seed, aborted)
 
@@ -450,20 +470,51 @@ def _checkpoint_indices(K: int):
 
 
 def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
-                       fresh: PathEnsemble) -> KSReport:
-    """KS tests at fresh's checkpoints of `image`, the (n_paths, checkpoint)
-    values of an ensemble there, against fresh; aborted paths are left out."""
-    keep_a = ~aborted
-    keep_b = ~fresh.aborted
+                       times, fresh: np.ndarray, fresh_aborted) -> KSReport:
+    """KS tests of column j of `image` (every moved path at the checkpoints)
+    against row j of `fresh` (the fresh paths at the checkpoint times[j]);
+    the aborted paths of either are left out."""
+    keep_a, keep_b = ~aborted, ~fresh_aborted
     cps = []
-    for j, k in enumerate(_checkpoint_indices(fresh.n_steps)):
-        xa = image[keep_a, j]
-        xb = fresh.paths[keep_b, k]
+    for j, t in enumerate(times):
+        xa, xb = image[keep_a, j], fresh[j, keep_b]
         stat, p = ks_two_sample(xa, xb)
-        cps.append(Checkpoint(float(fresh.times[k]), stat, p, xa.size, xb.size))
+        cps.append(Checkpoint(float(t), stat, p, xa.size, xb.size))
     ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
-    return KSReport(tuple(cps), ok, seed, fresh.seed, image.shape[0],
-                    int(aborted.sum() + fresh.aborted.sum()))
+    return KSReport(tuple(cps), ok, seed, seed + FRESH_SEED_OFFSET,
+                    image.shape[0], int(aborted.sum() + fresh_aborted.sum()))
+
+
+def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
+                   n_paths: int, seed: int, image_of) -> KSReport:
+    """Both verifiers: src is simulated at the checkpoint rows `cols`,
+    `image_of(cols, times, X, sub, aborted)` gives (image, aborted, grid,
+    y0), and a fresh tgt ensemble from y0 on `grid` is compared with the
+    image there.  Its noise is drawn meanwhile on a thread that calls numpy
+    only, joined on every way out; a draw that raised is repeated here."""
+    import threading  # numpy has loaded it already
+    rng = np.random.Generator(np.random.Philox(key=seed + FRESH_SEED_OFFSET))
+    box = []
+
+    def draw():
+        try:
+            box.append(rng.standard_normal((n_paths, K)))
+        except Exception:  # the caller draws again and raises it
+            pass
+
+    worker = threading.Thread(target=draw)
+    worker.start()
+    try:
+        cols = _checkpoint_indices(K)
+        image, aborted, grid, y0 = image_of(cols, *_simulate_uniform(
+            src, x0, h, K, n_paths, seed, cols))
+        worker.join()
+        normals = box.pop() if box else rng.standard_normal((n_paths, K))
+        fresh, _, fresh_aborted = _simulate_on_grid(tgt, y0, grid, normals, cols)
+    finally:
+        worker.join()
+    return _compare_ensembles(image, aborted, seed, grid[cols], fresh,
+                              fresh_aborted)
 
 
 def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
@@ -475,16 +526,17 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     compares its marginals (4 checkpoints, two-sample KS) against a fresh
     ensemble of the same SDE started at the transformed initial state on
     the image time grid.  The time change and its checks run on the whole
-    grid; the paths are transported at the checkpoints only.
+    grid; the paths are kept and moved at the checkpoints only.
     """
-    ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
     params = sde.bound_params()
-    beta, image, aborted = _flow_image(ens, v, eps, params,
-                                       _checkpoint_indices(K))
-    y0 = float(_flow_integrate(v, params, eps, FLOW_SUBSTEPS, ens.times[0], x0)[2])
-    del ens  # the source paths are not alive during the fresh simulation
-    fresh = _simulate_on_grid(sde, y0, beta, n_paths, seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(image, aborted, seed, fresh)
+
+    def image_of(cols, times, X, sub, aborted):
+        beta, image, aborted = _flow_image(v, eps, params, times, sub.T, cols,
+                                           X.T, aborted)
+        y0 = _flow_integrate(v, params, eps, FLOW_SUBSTEPS, times[0], x0)[2]
+        return image, aborted, beta, float(y0)
+
+    return _against_fresh(sde, sde, x0, h, K, n_paths, seed, image_of)
 
 
 def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
@@ -495,28 +547,26 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     Source paths X(t_k) become Y_k = mu2(t_k, X(t_k)) at times s_k =
     mu1(t_k); a fresh target ensemble is simulated on {s_k} from mu2(0, x0)
     and the marginals are compared at 4 checkpoints by two-sample KS.  mu1
-    is checked on the whole grid; mu2 is evaluated at the checkpoints only.
+    is checked on the whole grid; the paths are kept, and mu2 evaluated, at
+    the checkpoints only.
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
     params = {**src.bound_params(), **tgt.bound_params()}
     mu1 = compile_fn(simplify(tmap.mu1), ("t",), params)
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
-    ens = euler_maruyama(src, x0, h, K, n_paths, seed)
-    slope = np.asarray(dmu1(ens.times), dtype=float)
-    if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
-        raise NumericError("mu1 is not strictly increasing on the window")
-    s_times = np.asarray(mu1(ens.times), dtype=float)
-    mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
-    cols = _checkpoint_indices(K)
-    X = ens.paths[:, cols]
-    with np.errstate(all="ignore"):
-        image = np.broadcast_to(np.asarray(mu2(ens.times[cols], X), dtype=float),
-                                X.shape)
-        # numpy arithmetic, so a singular mu2 gives inf rather than raising
-        y0 = float(np.asarray(mu2(ens.times[0], np.float64(x0)), dtype=float))
-    aborted = ens.aborted | ~np.all(np.isfinite(image), axis=1)
-    del ens  # the source paths are not alive during the target simulation
-    fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
-                              seed + FRESH_SEED_OFFSET)
-    return _compare_ensembles(image, aborted, seed, fresh)
+
+    def image_of(cols, times, X, sub, aborted):
+        slope = np.asarray(dmu1(times), dtype=float)
+        if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
+            raise NumericError("mu1 is not strictly increasing on the window")
+        mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
+        with np.errstate(all="ignore"):
+            image = np.broadcast_to(np.asarray(mu2(times[cols], X.T), dtype=float),
+                                    X.T.shape)
+            # numpy arithmetic, so a singular mu2 gives inf rather than raising
+            y0 = float(np.asarray(mu2(times[0], np.float64(x0)), dtype=float))
+        return (image, aborted | ~np.all(np.isfinite(image), axis=1),
+                np.asarray(mu1(times), dtype=float), y0)
+
+    return _against_fresh(src, tgt, x0, h, K, n_paths, seed, image_of)

@@ -58,6 +58,16 @@ class TestSymmetries:
                            prob("axinv.prob"))
         assert code == 0
         assert "generators (2)" in out
+
+    def test_negative_term_prints_a_minus(self, capsys, gen_file):
+        # dx = x^2 dt: the stage-1 example of the det-ode mode
+        path = gen_file("[sde]\ndrift = x^2\ndiffusion = 0\n[ansatz]\n"
+                        "tau = poly(t;1)\nphi = poly(x;1)\n"
+                        "phitilde = x^2 + (t*x^2 + x)\n", "ode.prob")
+        code, out, _ = run(capsys, "--mode", "det-ode", "symmetries", path)
+        assert code == 0
+        assert "  X2 = [t d/dt - x d/dx]^D\n" in out
+        assert "+ -" not in out
         assert "]^S" not in out
 
     def test_langevin(self, capsys):

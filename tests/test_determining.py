@@ -206,3 +206,17 @@ class TestSdeValidation:
     def test_deterministic_detection(self):
         assert Sde(p("x"), p("0")).is_deterministic()
         assert not LANGEVIN.is_deterministic()
+
+
+class TestVectorFieldStr:
+    @pytest.mark.parametrize("tau, phi, phitilde, text", [
+        ("t", "-x", "0", "[t d/dt - x d/dx]^D"),
+        ("t", "-1/2*x", "0", "[t d/dt - 1/2*x d/dx]^D"),
+        ("2*t", "x", "0", "[2*t d/dt + x d/dx]^D"),
+        ("-t", "x", "0", "[-t d/dt + x d/dx]^D"),
+        ("0", "-x", "-x", "[-x d/dx]^D + [-x d/dx]^S"),
+        ("1", "1 - x", "0", "[d/dt + (1 - x) d/dx]^D"),
+        ("0", "0", "0", "0"),
+    ])
+    def test_signs(self, tau, phi, phitilde, text):
+        assert str(VectorField(p(tau), p(phi), p(phitilde))) == text

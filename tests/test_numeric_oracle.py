@@ -10,6 +10,9 @@ The verifiers move paths only at the KS checkpoints.  The references
 the ensemble, as the verifiers once did, and must print the same report.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,12 @@ def reference_simulate(sde, x0, times, n_paths, seed):
     return times, X, ~alive
 
 
+def philox_normals(seed, n_paths, K):
+    """The normals reference_simulate draws for `seed`."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (n_paths, K))
+
+
 def reference_flow(v, params, eps, n_sub, times, states=None):
     tau = compile_fn(v.tau, ("t",), params)
     tau_t = compile_fn(diff(v.tau, "t"), ("t",), params)
@@ -129,6 +138,12 @@ def reference_flow_apply(ens, v, eps, params):
                         ens.seed, aborted)
 
 
+def reference_fresh(sde, y0, times, n_paths, seed):
+    times, X, aborted = reference_simulate(sde, y0, times, n_paths,
+                                           seed + FRESH_SEED_OFFSET)
+    return PathEnsemble(times, X, seed + FRESH_SEED_OFFSET, aborted)
+
+
 def reference_compare(moved, fresh):
     """KS tests of two whole ensembles at the checkpoints."""
     keep_a, keep_b = ~moved.aborted, ~fresh.aborted
@@ -148,9 +163,8 @@ def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
     moved = reference_flow_apply(ens, v, eps, params)
     y0 = float(reference_flow(v, params, eps, 64, np.array(0.0),
                               np.array(x0))[2])
-    fresh = _simulate_on_grid(sde, y0, moved.times, n_paths,
-                              seed + FRESH_SEED_OFFSET)
-    return reference_compare(moved, fresh)
+    return reference_compare(moved, reference_fresh(sde, y0, moved.times,
+                                                    n_paths, seed))
 
 
 def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
@@ -166,13 +180,25 @@ def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
     aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
     moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
                          ens.seed, aborted)
-    fresh = _simulate_on_grid(tgt, y0, s_times, n_paths,
-                              seed + FRESH_SEED_OFFSET)
-    return reference_compare(moved, fresh)
+    return reference_compare(moved, reference_fresh(tgt, y0, s_times,
+                                                    n_paths, seed))
 
 
 def same(a, b):
     return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits in every cell, NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+def flow_image(ens, v, eps, params, cols):
+    """_flow_image on a whole ensemble, read at the grid columns `cols`."""
+    return _flow_image(v, eps, params, ens.times, ens.paths[:8].copy(), cols,
+                       ens.paths[:, cols], ens.aborted)
 
 
 BROWNIAN = Sde(p("0"), p("1"))
@@ -225,9 +251,10 @@ class TestSimulationOracle:
 
     def test_non_uniform_grid(self):
         grid = np.cumsum(np.linspace(1e-3, 3e-3, 200))
-        ens = _simulate_on_grid(SDES["t-dependent"], 1.0, grid, 64, 3)
+        X, _, _ = _simulate_on_grid(SDES["t-dependent"], 1.0, grid,
+                                    philox_normals(3, 64, 199), range(200))
         ref = reference_simulate(SDES["t-dependent"], 1.0, grid, 64, 3)
-        assert same(ens.paths, ref[1])
+        assert same(X.T, ref[1])
 
     def test_shapes(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 7, seed=1)
@@ -289,7 +316,8 @@ class TestNonFiniteTimes:
                                       [0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]])
     def test_non_finite_grid_is_refused(self, grid):
         with pytest.raises(NumericError, match="finite"):
-            _simulate_on_grid(BROWNIAN, 0.0, np.array(grid), 4, 0)
+            _simulate_on_grid(BROWNIAN, 0.0, np.array(grid), np.zeros((4, 2)),
+                              [0])
 
 
 # the verifiers' ensembles: fewer cells than the CLI's 2000 x 1000, still
@@ -334,9 +362,9 @@ class TestCheckpointTransport:
         ens = euler_maruyama(BROWNIAN, 0.5, 2e-3, 300, 500, seed=7)
         cols = _checkpoint_indices(300)
         params = {"a": 1.0}
-        beta, image, aborted = _flow_image(ens, FIELDS[name], eps, params, cols)
-        full_beta, full, _ = _flow_image(ens, FIELDS[name], eps, params,
-                                         slice(None))
+        beta, image, aborted = flow_image(ens, FIELDS[name], eps, params, cols)
+        full_beta, full, _ = flow_image(ens, FIELDS[name], eps, params,
+                                        slice(None))
         assert same(beta, full_beta) and same(image, full[:, cols])
         want = reference_flow(FIELDS[name], params, eps, 64, ens.times, ens.paths)
         assert same(beta, want[0]) and same(image, want[2][:, cols])
@@ -366,7 +394,7 @@ class TestCheckpointTransport:
         paths[0, 3] = paths[1, 4] = -1.0
         ens = PathEnsemble(np.arange(9) / 8, paths, 0, np.zeros(2, dtype=bool))
         v = VectorField(p("0"), p("log(x)"))
-        _, image, aborted = _flow_image(ens, v, 0.1, {}, _checkpoint_indices(8))
+        _, image, aborted = flow_image(ens, v, 0.1, {}, _checkpoint_indices(8))
         assert aborted.tolist() == [False, True]
         assert np.all(np.isfinite(image[0]))
         # the whole-grid image drops both
@@ -381,3 +409,135 @@ class TestCheckpointTransport:
         size = {"x0": 0.0, "h": 0.125, "K": 8, "n_paths": 600, "seed": 3}
         assert verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == dropped
         assert reference_verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == 600
+
+
+KEPT_PATH_COUNTS = (1, 8, 33, 2000)
+
+
+class TestKeptRows:
+    """The simulator keeps the caller's grid rows and the first 8 paths at
+    every grid time; both must have the bits of the whole-grid loop."""
+
+    @pytest.mark.parametrize("every_row", [False, True])
+    @pytest.mark.parametrize("n_paths", KEPT_PATH_COUNTS)
+    @pytest.mark.parametrize("name", sorted(SDES))
+    def test_kept_rows_bit_identical(self, name, n_paths, every_row):
+        K = 300
+        times = np.arange(K + 1) * 1e-2
+        rows = list(range(K + 1)) if every_row else _checkpoint_indices(K)
+        X, sub, aborted = _simulate_on_grid(SDES[name], 0.5, times,
+                                            philox_normals(11, n_paths, K), rows)
+        _, ref, ref_aborted = reference_simulate(SDES[name], 0.5, times,
+                                                 n_paths, 11)
+        assert same_bits(X, ref[:, rows].T)
+        assert same_bits(sub, ref[:8].T)
+        assert same(aborted, ref_aborted)
+        if name in ("aborting", "overflowing") and n_paths == 2000:
+            assert 0 < aborted.sum() < n_paths and np.isnan(X[-1]).any()
+
+
+def _map_refusals():
+    run = {"x0": 1.0, "seed": 1, **VERIFY_SIZE}
+    return {
+        "mu1 not increasing": lambda: verify_map(
+            OU, BROWNIAN, TransformMap(parse("-t"), parse("x")), **run),
+        "flow not finite": lambda: verify_symmetry(
+            BROWNIAN, VectorField(p("t^2"), p("x")), 1.5, x0=0.0, h=1e-2,
+            K=100, n_paths=16, seed=1),
+        "y0 not finite": lambda: verify_map(
+            OU, BROWNIAN, TransformMap(parse("t"), parse("1/x")),
+            **{**run, "x0": 0.0}),
+        "h <= 0 (map)": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+                                           **{**run, "h": 0.0}),
+        "h <= 0 (symmetry)": lambda: verify_symmetry(
+            BROWNIAN, FIELDS["scaling"], 0.2, **{**run, "h": -1e-3}),
+        "K < 0": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+                                    **{**run, "K": -5}),
+    }
+
+
+REFUSALS = {
+    "mu1 not increasing": (NumericError, "not strictly increasing"),
+    "flow not finite": (FlowError, "time change is not finite"),
+    "y0 not finite": (NumericError, "initial state inf is not finite"),
+    "h <= 0 (map)": (NumericError, "step size h must be positive"),
+    "h <= 0 (symmetry)": (NumericError, "step size h must be positive"),
+    "K < 0": (NumericError, "time grid must be finite"),
+}
+
+
+class TestFreshNoiseThread:
+    """Each verifier draws the fresh ensemble's noise on one worker thread
+    and joins it on every path out."""
+
+    def verifiers(self):
+        sde, v, eps, x0 = SYMMETRIES["scaling"]
+        yield lambda: verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
+        yield lambda: verify_map(OU, BROWNIAN, MAPS["paper"], x0=1.0, seed=3,
+                                 **VERIFY_SIZE)
+
+    def test_one_worker_joined_per_call(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        before = threading.active_count()
+        for call in self.verifiers():
+            call()
+            assert threading.active_count() == before
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusals_join_the_worker(self, name, monkeypatch):
+        failed = []
+        monkeypatch.setattr(threading, "excepthook", failed.append)
+        before = threading.active_count()
+        error, message = REFUSALS[name]
+        with pytest.raises(error, match=message):
+            _map_refusals()[name]()
+        assert threading.active_count() == before
+        assert failed == []   # a failed draw on the worker is not printed
+
+    def test_a_lost_draw_is_drawn_again(self, monkeypatch):
+        # a worker that never fills its box: the caller draws the same
+        # normals itself, so the report does not change
+        want = [call().to_kv() for call in self.verifiers()]
+
+        class Idle(threading.Thread):
+            def start(self):
+                pass
+
+            def join(self, timeout=None):
+                pass
+
+        monkeypatch.setattr(threading, "Thread", Idle)
+        assert [call().to_kv() for call in self.verifiers()] == want
+
+    def test_concurrent_calls_keep_their_reports(self):
+        # more callers than cores, switching often: each call owns its
+        # worker and its normals, so every report is the serial one
+        want = [call().to_kv() for call in self.verifiers()] * 3
+        got = [None] * len(want)
+        calls = list(self.verifiers()) * 3
+
+        def run(i):
+            got[i] = calls[i]().to_kv()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(calls))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
