@@ -15,6 +15,7 @@ from .expr import (
     Expr,
     HALF,
     ZERO,
+    _split_negative,
     diff,
     mul,
     simplify,
@@ -72,14 +73,13 @@ class VectorField:
         return "x" not in variables_of(self.tau)
 
     def __str__(self):
-        parts = []
-        det = []
-        if not simplify(self.tau).is_zero():
-            det.append(f"{_coef_str(self.tau)}d/dt")
-        if not simplify(self.phi).is_zero():
-            det.append(f"{_coef_str(self.phi)}d/dx")
-        if det:
-            parts.append("[" + " + ".join(det).replace(" + -", " - ") + "]^D")
+        det = ""
+        for coef, d in ((self.tau, "d/dt"), (self.phi, "d/dx")):
+            if not simplify(coef).is_zero():
+                negative, coef = _split_negative(simplify(coef)) if det else (False, coef)
+                det += (" - " if negative else " + ") if det else ""
+                det += f"{_coef_str(coef)}{d}"
+        parts = [f"[{det}]^D"] if det else []
         if not simplify(self.phitilde).is_zero():
             parts.append(f"[{_coef_str(self.phitilde)}d/dx]^S")
         return " + ".join(parts) if parts else "0"

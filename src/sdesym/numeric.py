@@ -80,11 +80,10 @@ def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
     normals `normals`: X_{k+1} = (X_k + f h_k) + g dW_k, summed in this order,
     with dW_k = normals[:, k] * sqrt(h_k), on two rotating state rows.
 
-    Returns (X, sub, aborted): every path at the increasing grid rows `rows`,
-    the first min(8, n_paths) paths at every grid time, and the paths that hit
-    a singularity or left the float range.  A non-finite state stays
-    non-finite under a step, so those are the paths whose last state is
-    non-finite, and they read NaN from the abort on.
+    Returns (X, aborted): every path at the increasing grid rows `rows`, and
+    the paths that hit a singularity or left the float range.  A non-finite
+    state stays non-finite under a step, so those are the paths whose last
+    state is non-finite, and they read NaN from the abort on.
     """
     times = _grid(times)
     if not math.isfinite(x0):
@@ -97,9 +96,8 @@ def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
     X = np.empty((len(rows), n))
     kept = dict(zip(rows, X))
     tmp, dW, *spare = np.empty((4, n))
-    sub = np.empty((K + 1, min(8, n)))
     x = kept.get(0, spare[1])
-    x[...] = sub[0] = x0
+    x[...] = x0
     with np.errstate(all="ignore"):
         for k in range(K):
             nxt = kept.get(k + 1, spare[k % 2])
@@ -108,16 +106,14 @@ def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
             np.multiply(normals[:, k], math.sqrt(steps[k]), out=dW)
             np.multiply(g(times[k], x), dW, out=dW)
             np.add(nxt, dW, out=nxt)
-            sub[k + 1] = nxt[:sub.shape[1]]
             x = nxt
-    for a in (X, sub):
-        a[~np.isfinite(a)] = np.nan
-    return X, sub, ~np.isfinite(x)
+    X[~np.isfinite(X)] = np.nan
+    return X, ~np.isfinite(x)
 
 
 def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
                       seed: int, rows):
-    """(times, X, sub, aborted) of `_simulate_on_grid` on the grid times = k h,
+    """(times, X, aborted) of `_simulate_on_grid` on the grid times = k h,
     driven by the normals of `seed`: path i's depend on (seed, i, K) only."""
     if h <= 0:
         raise NumericError("step size h must be positive")
@@ -130,8 +126,8 @@ def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
 def euler_maruyama(sde: Sde, x0: float, h: float, K: int,
                    n_paths: int, seed: int) -> PathEnsemble:
     """Strong order-1/2 scheme X_{k+1} = X_k + f h + g dW on a uniform grid."""
-    times, X, _, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed,
-                                             range(K + 1))
+    times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed,
+                                          range(K + 1))
     return PathEnsemble(times, X.T, seed, aborted)
 
 
@@ -488,7 +484,7 @@ def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
 def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
                    n_paths: int, seed: int, image_of) -> KSReport:
     """Both verifiers: src is simulated at the checkpoint rows `cols`,
-    `image_of(cols, times, X, sub, aborted)` gives (image, aborted, grid,
+    `image_of(cols, times, X, aborted)` gives (image, aborted, grid,
     y0), and a fresh tgt ensemble from y0 on `grid` is compared with the
     image there.  Its noise is drawn meanwhile on a thread that calls numpy
     only, joined on every way out; a draw that raised is repeated here."""
@@ -510,7 +506,7 @@ def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
             src, x0, h, K, n_paths, seed, cols))
         worker.join()
         normals = box.pop() if box else rng.standard_normal((n_paths, K))
-        fresh, _, fresh_aborted = _simulate_on_grid(tgt, y0, grid, normals, cols)
+        fresh, fresh_aborted = _simulate_on_grid(tgt, y0, grid, normals, cols)
     finally:
         worker.join()
     return _compare_ensembles(image, aborted, seed, grid[cols], fresh,
@@ -530,7 +526,10 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     """
     params = sde.bound_params()
 
-    def image_of(cols, times, X, sub, aborted):
+    def image_of(cols, times, X, aborted):
+        # the step-halving check's paths: the first 8, with the same normals
+        sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed,
+                                range(K + 1))[1]
         beta, image, aborted = _flow_image(v, eps, params, times, sub.T, cols,
                                            X.T, aborted)
         y0 = _flow_integrate(v, params, eps, FLOW_SUBSTEPS, times[0], x0)[2]
@@ -556,7 +555,7 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     mu1 = compile_fn(simplify(tmap.mu1), ("t",), params)
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
 
-    def image_of(cols, times, X, sub, aborted):
+    def image_of(cols, times, X, aborted):
         slope = np.asarray(dmu1(times), dtype=float)
         if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
             raise NumericError("mu1 is not strictly increasing on the window")

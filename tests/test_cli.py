@@ -58,6 +58,7 @@ class TestSymmetries:
                            prob("axinv.prob"))
         assert code == 0
         assert "generators (2)" in out
+        assert "]^S" not in out
 
     def test_negative_term_prints_a_minus(self, capsys, gen_file):
         # dx = x^2 dt: the stage-1 example of the det-ode mode
@@ -68,7 +69,6 @@ class TestSymmetries:
         assert code == 0
         assert "  X2 = [t d/dt - x d/dx]^D\n" in out
         assert "+ -" not in out
-        assert "]^S" not in out
 
     def test_langevin(self, capsys):
         code, out, _ = run(capsys, "--mode", "stochastic", "symmetries",

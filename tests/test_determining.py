@@ -212,6 +212,10 @@ class TestVectorFieldStr:
     @pytest.mark.parametrize("tau, phi, phitilde, text", [
         ("t", "-x", "0", "[t d/dt - x d/dx]^D"),
         ("t", "-1/2*x", "0", "[t d/dt - 1/2*x d/dx]^D"),
+        ("t", "-1", "0", "[t d/dt - d/dx]^D"),
+        ("t", "-2", "0", "[t d/dt - 2 d/dx]^D"),
+        ("t", "-(x + 1)", "0", "[t d/dt - (1 + x) d/dx]^D"),
+        ("0", "-1", "0", "[-1 d/dx]^D"),
         ("2*t", "x", "0", "[2*t d/dt + x d/dx]^D"),
         ("-t", "x", "0", "[-t d/dt + x d/dx]^D"),
         ("0", "-x", "-x", "[-x d/dx]^D + [-x d/dx]^S"),

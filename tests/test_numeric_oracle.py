@@ -31,6 +31,7 @@ from sdesym.numeric import (
     _flow_image,
     _flow_integrate,
     _simulate_on_grid,
+    _simulate_uniform,
     euler_maruyama,
     flow_apply,
     ks_two_sample,
@@ -251,8 +252,8 @@ class TestSimulationOracle:
 
     def test_non_uniform_grid(self):
         grid = np.cumsum(np.linspace(1e-3, 3e-3, 200))
-        X, _, _ = _simulate_on_grid(SDES["t-dependent"], 1.0, grid,
-                                    philox_normals(3, 64, 199), range(200))
+        X, _ = _simulate_on_grid(SDES["t-dependent"], 1.0, grid,
+                                 philox_normals(3, 64, 199), range(200))
         ref = reference_simulate(SDES["t-dependent"], 1.0, grid, 64, 3)
         assert same(X.T, ref[1])
 
@@ -415,8 +416,9 @@ KEPT_PATH_COUNTS = (1, 8, 33, 2000)
 
 
 class TestKeptRows:
-    """The simulator keeps the caller's grid rows and the first 8 paths at
-    every grid time; both must have the bits of the whole-grid loop."""
+    """The simulator keeps the caller's grid rows, and verify_symmetry steps
+    the first 8 paths again at every grid time; both must have the bits of
+    the whole-grid loop."""
 
     @pytest.mark.parametrize("every_row", [False, True])
     @pytest.mark.parametrize("n_paths", KEPT_PATH_COUNTS)
@@ -425,15 +427,24 @@ class TestKeptRows:
         K = 300
         times = np.arange(K + 1) * 1e-2
         rows = list(range(K + 1)) if every_row else _checkpoint_indices(K)
-        X, sub, aborted = _simulate_on_grid(SDES[name], 0.5, times,
-                                            philox_normals(11, n_paths, K), rows)
+        X, aborted = _simulate_on_grid(SDES[name], 0.5, times,
+                                       philox_normals(11, n_paths, K), rows)
         _, ref, ref_aborted = reference_simulate(SDES[name], 0.5, times,
                                                  n_paths, 11)
         assert same_bits(X, ref[:, rows].T)
-        assert same_bits(sub, ref[:8].T)
         assert same(aborted, ref_aborted)
         if name in ("aborting", "overflowing") and n_paths == 2000:
             assert 0 < aborted.sum() < n_paths and np.isnan(X[-1]).any()
+
+    @pytest.mark.parametrize("n_paths", KEPT_PATH_COUNTS)
+    @pytest.mark.parametrize("name", sorted(SDES))
+    def test_subsample_bit_identical(self, name, n_paths):
+        # the first min(8, n) paths of an n-path run, stepped on their own
+        K = 300
+        times, sub, _ = _simulate_uniform(SDES[name], 0.5, 1e-2, K,
+                                          min(8, n_paths), 11, range(K + 1))
+        _, ref, _ = reference_simulate(SDES[name], 0.5, times, n_paths, 11)
+        assert same_bits(sub, ref[:8].T)
 
 
 def _map_refusals():
