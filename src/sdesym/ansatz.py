@@ -403,82 +403,59 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     taken = set(params) | needed
     pt_names = _fresh_names(len(a.phitilde), taken)
     det_names = _fresh_names(len(a.tau) + len(a.phi), taken | set(pt_names))
-    tau_names = det_names[: len(a.tau)]
-    phi_names = det_names[len(a.tau):]
+    q_name = _fresh_names(1, taken | set(det_names) | set(pt_names))[0]
+    n_tau, n_det = len(a.tau), len(det_names)
+
+    def null_vectors(rows, names, stage):
+        """Canonical, integer-scaled nullspace basis of the rows' system."""
+        ds = DeterminingSystem(tuple(rows), unknowns=tuple(names))
+        M, b = build_linear_system(ds, points, params)
+        if float(np.max(np.abs(b), initial=0.0)) > 1e-12:
+            raise AnsatzError(f"{stage} system is not homogeneous")
+        return [_nice_scale(vec) for vec in _rref(nullspace(M, tol))]
+
+    def field(vec, phitilde=ZERO):
+        return VectorField(_vec_to_expr(vec[:n_tau], a.tau),
+                           _vec_to_expr(vec[n_tau:n_det], a.phi), phitilde)
 
     # ---- stage 1: rows linear in phitilde alone
-    pt_rows = PHITILDE_ROWS[mode]
     stage1_dirs = []
-    if a.phitilde and pt_rows:
-        pt_expr = _linear_combo(pt_names, a.phitilde)
-        v = VectorField(ZERO, ZERO, pt_expr)
-        full = build_system(sde, v, mode)
-        ds1 = DeterminingSystem(tuple(full.residuals[i] for i in pt_rows),
-                                unknowns=tuple(pt_names))
-        M1, b1 = build_linear_system(ds1, points, params)
-        if float(np.max(np.abs(b1), initial=0.0)) > 1e-12:
-            raise AnsatzError("stage-1 system is not homogeneous")
-        for vec in _rref(nullspace(M1, tol)):
-            stage1_dirs.append(_vec_to_expr(_nice_scale(vec), a.phitilde))
-    stage1_dim = len(stage1_dirs)
+    if a.phitilde and PHITILDE_ROWS[mode]:
+        pt_field = VectorField(ZERO, ZERO, _linear_combo(pt_names, a.phitilde))
+        full = build_system(sde, pt_field, mode).residuals
+        stage1_dirs = [_vec_to_expr(vec, a.phitilde) for vec in null_vectors(
+            [full[i] for i in PHITILDE_ROWS[mode]], pt_names, "stage-1")]
 
-    tau_expr = _linear_combo(tau_names, a.tau)
-    phi_expr = _linear_combo(phi_names, a.phi)
-
-    runs = [None] + list(stage1_dirs)  # None = the phitilde == 0 run
+    # ---- stage 2: the phitilde = 0 run, then each stage-1 direction
+    det = VectorField(_linear_combo(det_names[:n_tau], a.tau),
+                      _linear_combo(det_names[n_tau:], a.phi), ZERO)
     candidates = []
-    for direction in runs:
-        if direction is None:
-            if not det_names:
-                continue
-            v = VectorField(tau_expr, phi_expr, ZERO)
-            ds = DeterminingSystem(build_system(sde, v, mode).residuals,
-                                   unknowns=tuple(det_names))
-            M, b = build_linear_system(ds, points, params)
-            if float(np.max(np.abs(b), initial=0.0)) > 1e-12:
-                raise AnsatzError("stage-2 system is not homogeneous")
-            for vec in _rref(nullspace(M, tol)):
-                vec = _nice_scale(vec)
-                candidates.append(VectorField(
-                    _vec_to_expr(vec[: len(a.tau)], a.tau),
-                    _vec_to_expr(vec[len(a.tau):], a.phi),
-                    ZERO))
-            continue
-
-        qf = simplify(mul(HALF, diff(diff(sde.drift, "x"), "x"), direction, direction))
-        qg = simplify(mul(HALF, diff(diff(sde.diffusion, "x"), "x"), direction, direction))
-        if _is_numerically_zero(qf, points, params) and \
-                _is_numerically_zero(qg, points, params):
+    if det_names:
+        candidates = [field(vec) for vec in null_vectors(
+            build_system(sde, det, mode).residuals, det_names, "stage-2")]
+    # the phitilde^2 terms of rows (i) and (iii); an ODE has row (i) only
+    coeffs = (sde.drift,) if mode == "det-ode" else (sde.drift, sde.diffusion)
+    for direction in stage1_dirs:
+        qs = [simplify(mul(HALF, diff(diff(c, "x"), "x"), direction, direction))
+              for c in coeffs]
+        if all(_is_numerically_zero(q, points, params) for q in qs):
             # phitilde enters the remaining rows only through its square,
             # which vanishes here: the direction decouples completely.
             candidates.append(VectorField(ZERO, ZERO, direction))
             continue
-
-        # q-device: remaining rows are affine in (tau, phi coefficients, q)
-        q_name = _fresh_names(1, taken | set(det_names) | set(pt_names))[0]
-        # rows (i) and (iii) at phitilde = 0, or row (i) alone for an ODE
-        base_v = VectorField(tau_expr, phi_expr, ZERO)
-        base = build_system(sde, base_v, "det-ode" if mode == "det-ode" else "classical")
-        qs = (qf,) if mode == "det-ode" else (qf, qg)
-        rows = tuple(add(r, mul(param(q_name), q)) for r, q in zip(base.residuals, qs))
-        ds = DeterminingSystem(rows, unknowns=tuple(det_names) + (q_name,))
-        M, b = build_linear_system(ds, points, params)
-        for vec in _rref(nullspace(M, tol)):
-            vec = _nice_scale(vec)
+        # q-device: rows (i) and (iii) at phitilde = 0 (row (i) alone for an
+        # ODE, whose row (ii) vanishes there) plus q = scale^2 times their
+        # phitilde^2 terms are affine in (tau, phi coefficients, q)
+        base = build_system(sde, det, "det-ode" if mode == "det-ode" else "classical")
+        rows = [add(r, mul(param(q_name), q))
+                for r, q in zip(base.residuals[:len(qs)], qs)]
+        for vec in null_vectors(rows, (*det_names, q_name), "stage-2"):
             q = vec[-1]
             if abs(q) <= 1e-10:
-                candidates.append(VectorField(
-                    _vec_to_expr(vec[: len(a.tau)], a.tau),
-                    _vec_to_expr(vec[len(a.tau): len(det_names)], a.phi),
-                    ZERO))
-                continue
-            if q < 0:
-                vec = -vec
-                q = -q
-            candidates.append(VectorField(
-                _vec_to_expr(vec[: len(a.tau)], a.tau),
-                _vec_to_expr(vec[len(a.tau): len(det_names)], a.phi),
-                simplify(mul(_coeff_const(math.sqrt(q)), direction))))
+                candidates.append(field(vec))
+            else:  # q > 0 after a sign flip of the whole vector
+                candidates.append(field(np.sign(q) * vec, simplify(mul(
+                    _coeff_const(math.sqrt(abs(q))), direction))))
 
     # ---- re-verify on fresh points and keep an independent subset
     generators = []
@@ -504,4 +481,4 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
         norms.append(res)
 
     return SymmetryBasis(tuple(generators), mode, tuple(norms),
-                         stage1_dimension=stage1_dim)
+                         stage1_dimension=len(stage1_dirs))

@@ -62,9 +62,7 @@ def _load(path: str, args) -> ProblemFile:
     pf = load_problem(path)
     missing = sorted(k for k, v in pf.params.items() if v is None)
     if missing:
-        raise ProblemError(
-            f"parameter {', '.join(missing)} requires a value or must "
-            f"appear in ansatz rates")
+        raise ProblemError(f"parameter {', '.join(missing)} requires a value")
     pf.numeric.update(flags)
     return pf
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ansatz import _coeff_const
 from .determining import VectorField
 from .expr import ZERO, add, diff, finite_points, mul, simplify, small_rational
 
@@ -121,8 +122,6 @@ def structure_constants(basis, points, params=None) -> StructureConstants:
 
 def apply_match(A: np.ndarray, fields) -> list:
     """Build the transformed generators X~_i = sum_j A[i][j] X_j symbolically."""
-    from .ansatz import _coeff_const  # local import to avoid a cycle
-
     out = []
     for i in range(A.shape[0]):
         tau_terms, phi_terms = [], []

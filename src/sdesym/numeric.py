@@ -173,30 +173,6 @@ def residual_check(ds: DeterminingSystem, params=None,
 _FLOW_BLOCK_CELLS = 32_768
 
 
-def _flow_integrate(v: VectorField, params, eps: float, n_sub: int,
-                    times, states=None):
-    """RK4 integration of the coupled flow system from r = 0 to eps:
-
-        d(beta)/dr = tau(beta),  dJ/dr = tau_t(beta) * J,
-        dF/dr = phi(beta, F)
-
-    `times` is the array of initial beta values; `states` (optional) holds
-    initial F values, broadcastable against `times` (e.g. paths of shape
-    (n, K+1) over a grid of shape (K+1,)).  Returns (beta, J, F).
-
-    Since tau depends on t only, (beta, J) are integrated once on `times`
-    (`_time_change`) and each substep's stage times are kept; F is then
-    integrated block by block (`_transport`).  Every value is bit-identical
-    to one RK4 loop over the whole arrays.
-    """
-    beta, J, stages = _time_change(v, params, eps, n_sub, times)
-    if states is None:
-        return beta, J, None
-    F = np.array(states, dtype=float, copy=True)
-    _transport(compile_fn(v.phi, ("t", "x"), params), eps / n_sub, stages, F)
-    return beta, J, F
-
-
 def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
     """(beta, J) of the flow at r = eps from beta = `times`, J = 1, and
     each RK4 substep's four stage times, along which F is transported."""
@@ -297,8 +273,9 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
-    beta2, _, sub2 = _flow_integrate(v, params, eps, 2 * FLOW_SUBSTEPS,
-                                     times, sub)
+    beta2, _, stages2 = _time_change(v, params, eps, 2 * FLOW_SUBSTEPS, times)
+    sub2 = np.array(sub)
+    _transport(phi, eps / (2 * FLOW_SUBSTEPS), stages2, sub2)
     _transport(phi, h, stages, sub)
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - sub)
@@ -487,7 +464,10 @@ def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
     `image_of(cols, times, X, aborted)` gives (image, aborted, grid,
     y0), and a fresh tgt ensemble from y0 on `grid` is compared with the
     image there.  Its noise is drawn meanwhile on a thread that calls numpy
-    only, joined on every way out; a draw that raised is repeated here."""
+    only, joined on every way out; a draw that raised is repeated here.
+    Fewer than one path is refused before the thread starts."""
+    if n_paths < 1:
+        raise NumericError(f"need at least 1 path, got {n_paths}")
     import threading  # numpy has loaded it already
     rng = np.random.Generator(np.random.Philox(key=seed + FRESH_SEED_OFFSET))
     box = []
@@ -532,8 +512,8 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
                                 range(K + 1))[1]
         beta, image, aborted = _flow_image(v, eps, params, times, sub.T, cols,
                                            X.T, aborted)
-        y0 = _flow_integrate(v, params, eps, FLOW_SUBSTEPS, times[0], x0)[2]
-        return image, aborted, beta, float(y0)
+        # every path starts at x0, so the moved first cell is the image of x0
+        return image, aborted, beta, float(sub[0, 0])
 
     return _against_fresh(sde, sde, x0, h, K, n_paths, seed, image_of)
 

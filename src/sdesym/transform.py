@@ -45,6 +45,7 @@ from .expr import (
     simplify,
     small_rational,
     substitute,
+    var,
     variables_of,
 )
 from .lie import _gauss_newton
@@ -98,8 +99,6 @@ class PairedSymmetries:
     @classmethod
     def from_tx(cls, pairs) -> "PairedSymmetries":
         """Build from target fields written in (t, x); relabels them to (s, y)."""
-        from .expr import var
-
         relabel = {"t": var("s"), "x": var("y")}
         conv = []
         for v, u in pairs:

@@ -365,6 +365,11 @@ GOLDEN_RUNS = [
     ("match-langevin-affine-brownian",
      ("match", prob("langevin-affine.prob"), prob("brownian.prob")), 0),
     ("match-axinv-brownian", ("match", prob("axinv.prob"), prob("brownian.prob")), 4),
+    # stage-1 directions that do not decouple: each goes through the q-device
+    *[(f"symmetries-{name}-{mode}{suffix}",
+       (*out, "--mode", mode, "symmetries", os.path.join(GOLDEN, f"{name}.prob")), 0)
+      for name, mode in (("xlogx", "stochastic"), ("ode-x2", "det-ode"))
+      for suffix, out in (("", ()), ("-kv", ("--output", "kv")))],
 ]
 
 

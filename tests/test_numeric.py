@@ -11,8 +11,8 @@ from sdesym.expr import parse
 from sdesym.numeric import (
     FlowError,
     NumericError,
-    _flow_integrate,
     _kolmogorov_sf,
+    _time_change,
     euler_maruyama,
     flow_apply,
     ks_two_sample,
@@ -141,9 +141,9 @@ class TestFlow:
         # J, the variational factor, is the squared time-change density
         v = VectorField(p("2*t"), p("x"))
         for t in (0.1, 0.8, 1.7):
-            eta2 = float(_flow_integrate(v, {}, 0.2, 64, np.array([t]))[1][0])
+            eta2 = float(_time_change(v, {}, 0.2, 64, np.array([t]))[1][0])
             d = 1e-5
-            ends = _flow_integrate(v, {}, 0.2, 64, np.array([t - d, t + d]))[0]
+            ends = _time_change(v, {}, 0.2, 64, np.array([t - d, t + d]))[0]
             fd = float(ends[1] - ends[0]) / (2 * d)
             assert abs(eta2 - fd) <= 1e-5 * max(1.0, abs(fd))
 

@@ -29,9 +29,10 @@ from sdesym.numeric import (
     PathEnsemble,
     _checkpoint_indices,
     _flow_image,
-    _flow_integrate,
     _simulate_on_grid,
     _simulate_uniform,
+    _time_change,
+    _transport,
     euler_maruyama,
     flow_apply,
     ks_two_sample,
@@ -196,6 +197,15 @@ def same_bits(a, b):
         np.ascontiguousarray(b).view(np.uint64))
 
 
+def flow(v, params, eps, n_sub, times, states):
+    """(beta, J, F) of the production flow: the time change on `times`, and
+    a copy of `states` transported along its stage times."""
+    beta, J, stages = _time_change(v, params, eps, n_sub, times)
+    F = np.array(states, dtype=float)
+    _transport(compile_fn(v.phi, ("t", "x"), params), eps / n_sub, stages, F)
+    return beta, J, F
+
+
 def flow_image(ens, v, eps, params, cols):
     """_flow_image on a whole ensemble, read at the grid columns `cols`."""
     return _flow_image(v, eps, params, ens.times, ens.paths[:8].copy(), cols,
@@ -273,7 +283,7 @@ class TestFlowOracle:
         # step-major ensembles (transposed paths) and row-major copies are
         # blocked along different axes
         for paths in (ens.paths, np.ascontiguousarray(ens.paths)):
-            got = _flow_integrate(FIELDS[name], params, eps, 64, ens.times, paths)
+            got = flow(FIELDS[name], params, eps, 64, ens.times, paths)
             want = reference_flow(FIELDS[name], params, eps, 64, ens.times, paths)
             for g, w in zip(got, want):
                 assert same(g, w)
@@ -294,16 +304,23 @@ class TestFlowOracle:
     def test_flow_map_points(self, name):
         t = np.linspace(0.1, 1.0, 7)
         x = np.linspace(-1.0, 2.0, 7)
-        beta, J, F = _flow_integrate(FIELDS[name], {"a": 1.0}, 0.2, 64, t, x)
+        beta, J, F = flow(FIELDS[name], {"a": 1.0}, 0.2, 64, t, x)
         want = reference_flow(FIELDS[name], {"a": 1.0}, 0.2, 64, t, x)
         assert same(F, want[2])
         assert same(beta, want[0])
         assert same(J, want[1])
-        # a single point, as verify_symmetry moves the initial state
-        scalar = reference_flow(FIELDS[name], {"a": 1.0}, 0.2, 64,
-                                np.array(0.3), np.array(1.2))[2]
-        got = _flow_integrate(FIELDS[name], {"a": 1.0}, 0.2, 64, 0.3, 1.2)[2]
-        assert same(np.asarray(got), scalar)
+        # verify_symmetry starts the fresh ensemble at cell 0 of its moved
+        # subsample: the image of the lone point (times[0], x0)
+        times, sub, _ = _simulate_uniform(BROWNIAN, 1.2, 1e-2, 100, 8, 7,
+                                          range(101))
+        cols = _checkpoint_indices(100)
+        for eps in (0.2, -0.15):
+            moved = sub.copy()
+            _flow_image(FIELDS[name], eps, {"a": 1.0}, times, moved.T, cols,
+                        sub.T[:, cols], np.zeros(8, dtype=bool))
+            lone = reference_flow(FIELDS[name], {"a": 1.0}, eps, 64,
+                                  np.array(times[0]), np.array(1.2))[2]
+            assert same_bits(moved[:1, 0], np.reshape(lone, 1))
 
 
 class TestNonFiniteTimes:
@@ -464,6 +481,10 @@ def _map_refusals():
             BROWNIAN, FIELDS["scaling"], 0.2, **{**run, "h": -1e-3}),
         "K < 0": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
                                     **{**run, "K": -5}),
+        "no paths (map)": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+                                             **{**run, "n_paths": 0}),
+        "no paths (symmetry)": lambda: verify_symmetry(
+            BROWNIAN, FIELDS["scaling"], 0.2, **{**run, "n_paths": 0}),
     }
 
 
@@ -474,6 +495,8 @@ REFUSALS = {
     "h <= 0 (map)": (NumericError, "step size h must be positive"),
     "h <= 0 (symmetry)": (NumericError, "step size h must be positive"),
     "K < 0": (NumericError, "time grid must be finite"),
+    "no paths (map)": (NumericError, "need at least 1 path, got 0"),
+    "no paths (symmetry)": (NumericError, "need at least 1 path, got 0"),
 }
 
 

@@ -7,7 +7,7 @@ from sdesym.ansatz import Ansatz, sample_points, solve_symmetries
 from sdesym.determining import Sde, VectorField
 from sdesym.expr import diff, parse, simplify
 from sdesym.lie import apply_match, match_basis, structure_constants
-from sdesym.numeric import _flow_integrate
+from sdesym.numeric import _time_change
 from sdesym.transform import (
     NoMapError,
     PairedSymmetries,
@@ -248,8 +248,8 @@ class TestPipelineIntegration:
         params = {"alpha": 1.0, "beta": 0.0}
 
         def central(v, t, h):
-            bp = _flow_integrate(v, params, h, 64, np.array([t]))[0][0]
-            bm = _flow_integrate(v, params, -h, 64, np.array([t]))[0][0]
+            bp = _time_change(v, params, h, 64, np.array([t]))[0][0]
+            bm = _time_change(v, params, -h, 64, np.array([t]))[0][0]
             return (bp - bm) / (2 * h)
 
         for v, _ in matched_pairs(1.0, 0.0):
