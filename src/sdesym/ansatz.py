@@ -295,6 +295,21 @@ def _coeff_const(v: float) -> Expr:
     return const(v if frac is None else frac)
 
 
+def _snap_small_rationals(values: np.ndarray, max_den: int, rel_tol: float,
+                          holds) -> np.ndarray:
+    """`values` with each entry moved to its small_rational(max_den,
+    rel_tol), if an entry moves and `holds` accepts the moved array;
+    otherwise `values` itself."""
+    snapped = values.copy()
+    for idx, v in np.ndenumerate(values):
+        frac = small_rational(float(v), max_den, rel_tol)
+        if frac is not None and float(frac) != v:
+            snapped[idx] = float(frac)
+    if np.array_equal(snapped, values) or not holds(snapped):
+        return values
+    return snapped
+
+
 def _vec_to_expr(vec, basis_fns) -> Expr:
     terms = []
     for coeff, fn in zip(vec, basis_fns):

@@ -27,6 +27,8 @@ from .expr import ExprError, ZERO, simplify
 from .lie import LieError, apply_match, match_basis, structure_constants
 from .numeric import (
     NumericError,
+    ParameterClashError,
+    joint_params,
     residual_check,
     verify_map,
     verify_symmetry,
@@ -44,7 +46,7 @@ EXIT_VERIFY = 5
 
 # the exit code of each error a command may raise; the first matching row wins
 EXIT_CODES = (
-    ((ProblemError, ExprError), EXIT_PARSE),
+    ((ProblemError, ExprError, ParameterClashError), EXIT_PARSE),
     ((AnsatzError, DeterminingError, LieError, TransformError), EXIT_SOLVER),
     ((NumericError,), EXIT_VERIFY),
 )
@@ -153,14 +155,12 @@ def cmd_brackets(args) -> int:
     return EXIT_OK
 
 
-def _match_pipeline(args):
+def _match_pipeline(src_pf: ProblemFile, tgt_pf: ProblemFile):
     """Shared by match and find-map: solve both sides, match algebras."""
-    src_pf = _load(args.source, args)
-    tgt_pf = _load(args.target, args)
     src_basis = _solve(src_pf, "classical")
     tgt_basis = _solve(tgt_pf, "classical")
     if len(src_basis) != len(tgt_basis):
-        return src_pf, tgt_pf, src_basis, tgt_basis, None, None, None
+        return src_basis, tgt_basis, None
     sparams = src_pf.require_sde().bound_params()
     tparams = tgt_pf.require_sde().bound_params()
     spts = sample_points(32, src_pf.window(), src_pf.seed() + 17, params=sparams)
@@ -168,7 +168,7 @@ def _match_pipeline(args):
     sc = structure_constants(list(src_basis), spts, sparams)
     tc = structure_constants(list(tgt_basis), tpts, tparams)
     m = match_basis(sc, tc, seed=src_pf.seed())
-    return src_pf, tgt_pf, src_basis, tgt_basis, sc, tc, m
+    return src_basis, tgt_basis, m
 
 
 def _print_match(m, output: str):
@@ -187,7 +187,7 @@ def _print_match(m, output: str):
 
 
 def cmd_match(args) -> int:
-    *_, m = _match_pipeline(args)
+    *_, m = _match_pipeline(_load(args.source, args), _load(args.target, args))
     if m is None:
         _err("algebra dimensions differ; no match attempted")
         return EXIT_NO_MATCH
@@ -200,7 +200,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_find_map(args) -> int:
-    src_pf, tgt_pf, src_basis, tgt_basis, sc, tc, m = _match_pipeline(args)
+    src_pf, tgt_pf = _load(args.source, args), _load(args.target, args)
+    # refused before the solves: the map is read against the source's names
+    params = joint_params(src_pf.require_sde(), tgt_pf.require_sde())
+    src_basis, tgt_basis, m = _match_pipeline(src_pf, tgt_pf)
     if m is None:
         _err(f"algebra dimensions differ ({len(src_basis)} vs {len(tgt_basis)}); "
              f"no map attempted")
@@ -213,8 +216,6 @@ def cmd_find_map(args) -> int:
     if not src_pf.map_mu1 or not src_pf.map_mu2:
         raise ProblemError(
             f"{src_pf.path}: find-map needs a [map.ansatz] section with mu1 and mu2")
-    params = {**tgt_pf.require_sde().bound_params(),
-              **src_pf.require_sde().bound_params()}
     matched_fields = apply_match(m.A, list(src_basis))
     pairs = PairedSymmetries.from_tx(list(zip(matched_fields, tgt_basis)))
     tmap = solve_map(pairs, src_pf.map_mu1, src_pf.map_mu2, params=params,

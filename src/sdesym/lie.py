@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import _coeff_const
+from .ansatz import _coeff_const, _snap_small_rationals
 from .determining import VectorField
-from .expr import ZERO, add, diff, finite_points, mul, simplify, small_rational
+from .expr import ZERO, add, diff, finite_points, mul, simplify
 
 MATCH_TOL = 1e-8
 CLOSURE_TOL = 1e-8
@@ -254,8 +254,8 @@ def _sparsify(A, S, T, tol):
     return A
 
 
-def _normalize_rows(A, S, T, tol):
-    """Scale gauge-free rows so their largest-magnitude entry is +1."""
+def _normalize_rows(A, holds):
+    """Scale rows to largest-magnitude entry +1 where the scaled A holds."""
     for i in range(A.shape[0]):
         row = A[i]
         k = int(np.argmax(np.abs(row)))
@@ -264,24 +264,8 @@ def _normalize_rows(A, S, T, tol):
             continue
         trial = A.copy()
         trial[i] = row / pivot
-        resid = float(np.max(np.abs(_match_residual(trial, S, T))))
-        if resid < tol and abs(np.linalg.det(trial)) > 1e-9:
+        if holds(trial):
             A = trial
-    return A
-
-
-def _snap_rational(A, S, T, tol):
-    """Round entries to nearby small rationals when the residual allows."""
-    trial = A.copy()
-    for idx, v in np.ndenumerate(A):
-        frac = small_rational(v, 64, 1e-6)
-        if frac is not None and float(frac) != v:
-            trial[idx] = float(frac)
-    if np.array_equal(trial, A):
-        return A
-    resid = float(np.max(np.abs(_match_residual(trial, S, T))))
-    if resid < tol and abs(np.linalg.det(trial)) > 1e-9:
-        return trial
     return A
 
 
@@ -302,6 +286,10 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
     rng = np.random.default_rng(seed)
     pool = _restart_pool(S, T)
 
+    def holds(B):  # a rescaled or rounded A: still a match, and invertible
+        return (float(np.max(np.abs(_match_residual(B, S, T)))) < MATCH_TOL
+                and abs(np.linalg.det(B)) > 1e-9)
+
     best = None  # (n_nonzeros, restart_index, A, residual)
     for k in range(64):
         if k == 0:
@@ -313,9 +301,9 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
         if resid >= MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
             continue
         A = _sparsify(A, S, T, MATCH_TOL)
-        A = _normalize_rows(A, S, T, MATCH_TOL)
+        A = _normalize_rows(A, holds)
         A[np.abs(A) < 1e-7] = 0.0
-        A = _snap_rational(A, S, T, MATCH_TOL)
+        A = _snap_small_rationals(A, 64, 1e-6, holds)
         resid = float(np.max(np.abs(_match_residual(A, S, T))))
         if resid >= MATCH_TOL:
             continue

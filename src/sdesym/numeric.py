@@ -14,6 +14,7 @@ flow is not pinned down by the symbolic layer.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,20 @@ class NumericError(ValueError):
 
 class FlowError(NumericError):
     pass
+
+
+class ParameterClashError(NumericError):
+    pass
+
+
+def joint_params(src: Sde, tgt: Sde) -> dict:
+    """The parameter values of both SDEs, refusing a name bound to two."""
+    params = src.bound_params()
+    for name, value in tgt.bound_params().items():
+        if params.setdefault(name, value) != value:
+            raise ParameterClashError(f"parameter {name} is {params[name]!r} "
+                                      f"in the source and {value!r} in the target")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +223,17 @@ def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
 def _transport(phi, h: float, stages, F: np.ndarray) -> None:
     """dF/dr = phi(beta, F) by RK4 over the given stage times, in place.
 
-    Cells are independent, so F is split along its slowest-varying axis into
-    blocks of about _FLOW_BLOCK_CELLS cells, each taken through every
-    substep with preallocated buffers.  Per cell the roundings are those of
-    F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with k2 = phi(b2, F + (h/2) k1)
-    etc.; a sum may take its operands in swapped order (IEEE addition
-    commutes), so that most passes update a buffer in place and stream two
-    arrays rather than three.  phi may return its argument or a scalar.
+    F and each stage time array hold one row per grid time.  Cells are
+    independent, so F is split into blocks of about _FLOW_BLOCK_CELLS cells,
+    each taken through every substep with preallocated buffers.  Per cell
+    the roundings are those of F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
+    k2 = phi(b2, F + (h/2) k1) etc.; a sum may take its operands in swapped
+    order (IEEE addition commutes), so that most passes update a buffer in
+    place and stream two arrays rather than three.  phi may return its
+    argument or a scalar.
     """
-    if F.ndim == 0:
-        F = F.reshape(1)
-    # pad stage times to F's rank; walk memory order (step-major ensembles
-    # store paths transposed, so their rows are grid times)
-    pad = (1,) * (F.ndim - np.ndim(stages[0][0]))
-    stages = [[np.reshape(s, pad + np.shape(s)) for s in st] for st in stages]
-    if not F.flags.c_contiguous and F.flags.f_contiguous:
-        F = F.T
-        stages = [[s.T for s in st] for st in stages]
+    pad = (1,) * (F.ndim - 1)   # a stage time per row, across its paths
+    stages = [[np.reshape(s, s.shape + pad) for s in st] for st in stages]
     rows = max(1, _FLOW_BLOCK_CELLS * F.shape[0] // max(F.size, 1))
     c_half, c_sixth = 0.5 * h, h / 6.0
     with np.errstate(all="ignore"):
@@ -232,8 +241,7 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
             Fb = F[lo:lo + rows]
             arg, acc, tmp = (np.empty_like(Fb) for _ in range(3))
             for st in stages:
-                b1, b2, b3, b4 = (s[lo:lo + rows] if s.shape[0] > 1 else s
-                                  for s in st)
+                b1, b2, b3, b4 = (s[lo:lo + rows] for s in st)
                 k1 = phi(b1, Fb)             # Fb itself if phi = x
                 np.multiply(k1, c_half, out=arg)
                 np.add(arg, Fb, out=arg)
@@ -258,13 +266,13 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
     run on the source grid `times` and `sub`, the first few paths there
     (moved in place).
 
-    X holds every path at the grid columns `cols` (a slice or an index
-    array).  Returns the image grid, the images of X with the bits of a
-    whole transport, and `aborted` or'ed with a non-finite image.
+    X holds every path at the grid rows `cols` (a slice or an index array).
+    Returns the image grid, the images of X with the bits of a whole
+    transport, and `aborted` or'ed with a non-finite image.
     """
     if v.has_stochastic_part():
-        raise FlowError("flow_apply handles deterministic generators only "
-                        "(phitilde must vanish)")
+        raise FlowError("the flow is simulated for deterministic generators "
+                        "only (phitilde must vanish)")
     if not v.time_only_tau():
         raise FlowError("tau must depend on t only")
     phi = compile_fn(v.phi, ("t", "x"), params)
@@ -287,9 +295,9 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    F = np.array(X, copy=True)
+    F = np.array(X, order="C")
     _transport(phi, h, [[s[cols] for s in st] for st in stages], F)
-    return beta, F, aborted | ~np.all(np.isfinite(F), axis=1)
+    return beta, F, aborted | ~np.all(np.isfinite(F), axis=0)
 
 
 def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
@@ -301,10 +309,10 @@ def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
     check on a path subsample) and returns the transformed ensemble on the
     image time grid beta(t_k), every grid time included.
     """
-    beta, newX, aborted = _flow_image(v, eps, {}, ens.times, ens.paths[:8].copy(),
-                                      slice(None), ens.paths, ens.aborted)
-    newX[aborted] = np.nan
-    return PathEnsemble(beta, newX, ens.seed, aborted)
+    beta, newX, aborted = _flow_image(v, eps, {}, ens.times, ens.paths[:8].T.copy(),
+                                      slice(None), ens.paths.T, ens.aborted)
+    newX[:, aborted] = np.nan
+    return PathEnsemble(beta, newX.T, ens.seed, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +452,26 @@ def _checkpoint_indices(K: int):
 
 def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
                        times, fresh: np.ndarray, fresh_aborted) -> KSReport:
-    """KS tests of column j of `image` (every moved path at the checkpoints)
+    """KS tests of row j of `image` (every moved path at the checkpoints)
     against row j of `fresh` (the fresh paths at the checkpoint times[j]);
     the aborted paths of either are left out."""
     keep_a, keep_b = ~aborted, ~fresh_aborted
     cps = []
     for j, t in enumerate(times):
-        xa, xb = image[keep_a, j], fresh[j, keep_b]
+        xa, xb = image[j, keep_a], fresh[j, keep_b]
         stat, p = ks_two_sample(xa, xb)
         cps.append(Checkpoint(float(t), stat, p, xa.size, xb.size))
     ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
     return KSReport(tuple(cps), ok, seed, seed + FRESH_SEED_OFFSET,
-                    image.shape[0], int(aborted.sum() + fresh_aborted.sum()))
+                    image.shape[1], int(aborted.sum() + fresh_aborted.sum()))
 
 
-def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
-                   n_paths: int, seed: int, image_of) -> KSReport:
-    """Both verifiers: src is simulated at the checkpoint rows `cols`,
-    `image_of(cols, times, X, aborted)` gives (image, aborted, grid,
-    y0), and a fresh tgt ensemble from y0 on `grid` is compared with the
-    image there.  Its noise is drawn meanwhile on a thread that calls numpy
-    only, joined on every way out; a draw that raised is repeated here.
-    Fewer than one path is refused before the thread starts."""
+@contextmanager
+def _fresh_normals(n_paths: int, K: int, seed: int):
+    """Yields take(), the (n_paths, K) normals of the fresh ensemble of
+    `seed`.  They are drawn meanwhile on a thread that calls numpy only,
+    joined by take() and on every way out; take() draws again if that draw
+    raised.  Fewer than one path is refused before the thread starts."""
     if n_paths < 1:
         raise NumericError(f"need at least 1 path, got {n_paths}")
     import threading  # numpy has loaded it already
@@ -475,22 +481,19 @@ def _against_fresh(src: Sde, tgt: Sde, x0: float, h: float, K: int,
     def draw():
         try:
             box.append(rng.standard_normal((n_paths, K)))
-        except Exception:  # the caller draws again and raises it
+        except Exception:  # take() draws again and raises it
             pass
+
+    def take():
+        worker.join()
+        return box.pop() if box else rng.standard_normal((n_paths, K))
 
     worker = threading.Thread(target=draw)
     worker.start()
     try:
-        cols = _checkpoint_indices(K)
-        image, aborted, grid, y0 = image_of(cols, *_simulate_uniform(
-            src, x0, h, K, n_paths, seed, cols))
-        worker.join()
-        normals = box.pop() if box else rng.standard_normal((n_paths, K))
-        fresh, fresh_aborted = _simulate_on_grid(tgt, y0, grid, normals, cols)
+        yield take
     finally:
         worker.join()
-    return _compare_ensembles(image, aborted, seed, grid[cols], fresh,
-                              fresh_aborted)
 
 
 def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
@@ -504,18 +507,19 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     the image time grid.  The time change and its checks run on the whole
     grid; the paths are kept and moved at the checkpoints only.
     """
-    params = sde.bound_params()
-
-    def image_of(cols, times, X, aborted):
+    with _fresh_normals(n_paths, K, seed) as take:
+        cols = _checkpoint_indices(K)
+        times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols)
         # the step-halving check's paths: the first 8, with the same normals
         sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed,
                                 range(K + 1))[1]
-        beta, image, aborted = _flow_image(v, eps, params, times, sub.T, cols,
-                                           X.T, aborted)
+        beta, image, aborted = _flow_image(v, eps, sde.bound_params(), times,
+                                           sub, cols, X, aborted)
         # every path starts at x0, so the moved first cell is the image of x0
-        return image, aborted, beta, float(sub[0, 0])
-
-    return _against_fresh(sde, sde, x0, h, K, n_paths, seed, image_of)
+        fresh, fresh_aborted = _simulate_on_grid(sde, float(sub[0, 0]), beta,
+                                                 take(), cols)
+    return _compare_ensembles(image, aborted, seed, beta[cols], fresh,
+                              fresh_aborted)
 
 
 def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
@@ -531,21 +535,23 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
-    params = {**src.bound_params(), **tgt.bound_params()}
+    params = joint_params(src, tgt)
     mu1 = compile_fn(simplify(tmap.mu1), ("t",), params)
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
-
-    def image_of(cols, times, X, aborted):
+    with _fresh_normals(n_paths, K, seed) as take:
+        cols = _checkpoint_indices(K)
+        times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols)
         slope = np.asarray(dmu1(times), dtype=float)
         if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
             raise NumericError("mu1 is not strictly increasing on the window")
         mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
         with np.errstate(all="ignore"):
-            image = np.broadcast_to(np.asarray(mu2(times[cols], X.T), dtype=float),
-                                    X.T.shape)
+            image = np.broadcast_to(
+                np.asarray(mu2(times[cols, None], X), dtype=float), X.shape)
             # numpy arithmetic, so a singular mu2 gives inf rather than raising
             y0 = float(np.asarray(mu2(times[0], np.float64(x0)), dtype=float))
-        return (image, aborted | ~np.all(np.isfinite(image), axis=1),
-                np.asarray(mu1(times), dtype=float), y0)
-
-    return _against_fresh(src, tgt, x0, h, K, n_paths, seed, image_of)
+        aborted = aborted | ~np.all(np.isfinite(image), axis=0)
+        grid = np.asarray(mu1(times), dtype=float)
+        fresh, fresh_aborted = _simulate_on_grid(tgt, y0, grid, take(), cols)
+    return _compare_ensembles(image, aborted, seed, grid[cols], fresh,
+                              fresh_aborted)

@@ -142,17 +142,13 @@ def _poly_entries(spec: str, variables, parameters) -> list:
         raise ProblemError(f"poly degree '{deg_part.strip()}' is not an integer")
     if degree < 0:
         raise ProblemError("poly degree must be >= 0")
+    if not names:  # the entry 1 alone; an ExprError, so the reader names the line
+        raise ExprError(f"poly spec '{spec}' names no variable")
     for nm in names:
         if nm not in variables:
             raise ProblemError(f"poly variable '{nm}' is not a declared variable")
-    out = []
-    for d in range(degree + 1):
-        if d == 0:
-            out.append(parse("1"))
-            continue
-        for combo in combinations_with_replacement(names, d):
-            out.append(simplify(mul(*[var(nm) for nm in combo])))
-    return out
+    return [simplify(mul(*[var(nm) for nm in combo])) for d in range(degree + 1)
+            for combo in combinations_with_replacement(names, d)]
 
 
 def parse_ansatz_spec(text: str, variables, parameters) -> tuple:
@@ -199,7 +195,40 @@ def _unique(entries, keys, what: str):
         yield where, key, value
 
 
+def _lines(text: str, path: str):
+    """Yield (where, line) of each non-blank line with its comment cut,
+    `where` naming it as path:line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield f"{path}:{lineno}", line
+
+
+def _key_value(where: str, line: str, rhs: str):
+    """(where, key, value) of a `key = rhs` line."""
+    if "=" not in line:
+        raise ProblemError(f"{where}: expected 'key = {rhs}'")
+    key, value = line.split("=", 1)
+    return where, key.strip(), value.strip()
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise ProblemError(f"cannot read {what} {path}: {err}")
+
+
+def _at(where: str, parse_, *args):
+    """parse_(*args), its ExprError a ProblemError naming `where`."""
+    try:
+        return parse_(*args)
+    except ExprError as err:
+        raise ProblemError(f"{where}: {err}") from None
+
+
 _KNOWN_SECTIONS = ("declare", "sde", "ansatz", "target.sde", "map.ansatz", "numeric")
+_DICTIONARIES = {"ansatz": ("tau", "phi", "phitilde"), "map.ansatz": ("mu1", "mu2")}
 
 
 def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
@@ -207,50 +236,45 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
     params: dict = {}
     sections: dict = {}
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    for where, line in _lines(text, path):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _KNOWN_SECTIONS:
                 raise ProblemError(f"{where}: unknown section [{section}]")
             sections.setdefault(section, [])
-            continue
-        if section is None:
+        elif section is None:
             raise ProblemError(f"{where}: content outside any section")
-        if section == "declare":
-            parts = line.split()
-            if parts[0] == "var" and len(parts) == 2:
-                if parts[1] not in variables:
-                    variables.append(parts[1])
-            elif parts[0] == "param":
+        elif section == "declare":
+            kind, *parts = line.split()
+            if kind == "var" and len(parts) == 1:
+                nm, other = parts[0], params
+            elif kind == "param":
                 nm, eq, val = line[len("param"):].partition("=")
-                nm, val = nm.strip(), val.strip()
+                nm, val, other = nm.strip(), val.strip(), variables
                 if nm in params:
                     raise ProblemError(f"{where}: duplicate param {nm}")
-                params[nm] = _param_value(val, f"{where}: param {nm}") if eq else None
             else:
                 raise ProblemError(
                     f"{where}: expected 'var NAME' or 'param NAME [= value]'")
-            continue
-        if "=" not in line:
-            raise ProblemError(f"{where}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        sections[section].append((where, key.strip(), value.strip()))
+            # the expression tokenizer's rule for a name
+            if not ((nm[:1].isalpha() or nm[:1] == "_")
+                    and all(ch.isalnum() or ch == "_" for ch in nm)):
+                raise ProblemError(f"{where}: {kind} {nm!r} is not a name")
+            if nm in other:
+                raise ProblemError(f"{where}: {nm} is declared as var and as param")
+            if kind == "param":
+                params[nm] = _param_value(val, f"{where}: param {nm}") if eq else None
+            elif nm not in variables:
+                variables.append(nm)
+        else:
+            sections[section].append(_key_value(where, line, "value"))
 
     pf = ProblemFile(variables=tuple(variables), params=params, path=path)
 
-    def expr_of(where, text_):
-        try:
-            return parse(text_, pf.variables, tuple(params))
-        except ExprError as err:
-            raise ProblemError(f"{where}: {err}") from None
-
     def sde_of(name):
-        parts = {key: expr_of(where, value) for where, key, value in _unique(
-            sections.get(name, []), ("drift", "diffusion"), f"[{name}] key")}
+        parts = {key: _at(where, parse, value, pf.variables, tuple(params))
+                 for where, key, value in _unique(
+                     sections.get(name, []), ("drift", "diffusion"), f"[{name}] key")}
         if len(parts) < 2:
             raise ProblemError(
                 f"{path}: [{name}] needs exactly one drift and one diffusion")
@@ -261,23 +285,14 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
     if "target.sde" in sections:
         pf.target = sde_of("target.sde")
 
-    slots = {"tau": (), "phi": (), "phitilde": ()}
-    for where, key, value in _unique(sections.get("ansatz", []), slots,
-                                     "ansatz slot"):
-        try:
-            slots[key] = parse_ansatz_spec(value, pf.variables, tuple(params))
-        except ExprError as err:
-            raise ProblemError(f"{where}: {err}") from None
-    pf.ansatz = Ansatz(**slots)
-
-    mu = {"mu1": (), "mu2": ()}
-    for where, key, value in _unique(sections.get("map.ansatz", []), mu,
-                                     "map.ansatz slot"):
-        try:
-            mu[key] = parse_ansatz_spec(value, pf.variables, tuple(params))
-        except ExprError as err:
-            raise ProblemError(f"{where}: {err}") from None
-    pf.map_mu1, pf.map_mu2 = mu["mu1"], mu["mu2"]
+    slots = {}
+    for name, keys in _DICTIONARIES.items():
+        for where, key, value in _unique(sections.get(name, []), keys,
+                                         f"{name} slot"):
+            slots[key] = _at(where, parse_ansatz_spec, value, pf.variables,
+                             tuple(params))
+    pf.ansatz = Ansatz(*(slots.get(k, ()) for k in _DICTIONARIES["ansatz"]))
+    pf.map_mu1, pf.map_mu2 = (slots.get(k, ()) for k in _DICTIONARIES["map.ansatz"])
 
     for where, key, value in _unique(sections.get("numeric", []), SETTINGS,
                                      "numeric key"):
@@ -286,37 +301,14 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
 
 
 def load_problem(path: str) -> ProblemFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ProblemError(f"cannot read problem file {path}: {err}")
-    return parse_problem_text(text, path)
+    return parse_problem_text(_read(path, "problem file"), path)
 
 
 def parse_field_file(path: str, variables, parameters) -> dict:
     """Bare key=value file for a generator (tau/phi/phitilde) or a map
     (mu1/mu2); returns parsed expressions keyed by slot name."""
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as err:
-        raise ProblemError(f"cannot read file {path}: {err}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ProblemError(f"{path}:{lineno}: expected 'key = expression'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in ("tau", "phi", "phitilde", "mu1", "mu2"):
-            raise ProblemError(f"{path}:{lineno}: unknown key '{key}'")
-        if key in out:
-            raise ProblemError(f"{path}:{lineno}: duplicate {key}")
-        try:
-            out[key] = parse(value.strip(), variables, parameters)
-        except ExprError as err:
-            raise ProblemError(f"{path}:{lineno}: {err}") from None
-    return out
+    lines = (_key_value(where, line, "expression")
+             for where, line in _lines(_read(path, "file"), path))
+    return {key: _at(where, parse, value, variables, parameters)
+            for where, key, value in _unique(
+                lines, ("tau", "phi", "phitilde", "mu1", "mu2"), "key")}

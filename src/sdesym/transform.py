@@ -28,6 +28,7 @@ from .ansatz import (
     _fresh_names,
     _linear_combo,
     _max_abs,
+    _snap_small_rationals,
     _vec_to_expr,
     build_linear_system,
     sample_points,
@@ -43,7 +44,6 @@ from .expr import (
     mul,
     parameters_of,
     simplify,
-    small_rational,
     substitute,
     var,
     variables_of,
@@ -205,7 +205,8 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
                 f"(best residual {feas:.3e})")
         if pin is not None:
             coeffs = _apply_pin(M, b, pin, mu1_basis, mu2_basis, params)
-        coeffs = _snap_coeffs(M, b, coeffs, max(feas, 1e-10 * scale))
+        coeffs = _snap_small_rationals(coeffs, 4096, 1e-9, lambda c: float(
+            np.max(np.abs(M @ c + b))) <= max(feas, 1e-10 * scale, 1e-12))
 
     tmap = _to_map(coeffs)
     resid = _system_max_residual(pairs, tmap, fresh, params)
@@ -216,20 +217,6 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
         raise TransformError(
             "mu1 is not strictly increasing on the verification window")
     return tmap
-
-
-def _snap_coeffs(M, b, coeffs, budget):
-    """Round coefficients to nearby small rationals when still feasible."""
-    snapped = coeffs.copy()
-    for i, v in enumerate(coeffs):
-        frac = small_rational(float(v), 4096, 1e-9)
-        if frac is not None and float(frac) != v:
-            snapped[i] = float(frac)
-    if np.array_equal(snapped, coeffs):
-        return coeffs
-    if float(np.max(np.abs(M @ snapped + b))) <= max(budget, 1e-12):
-        return snapped
-    return coeffs
 
 
 def _pin_rows(pin, mu1_basis, mu2_basis, params):

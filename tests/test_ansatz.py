@@ -12,6 +12,7 @@ from sdesym.ansatz import (
     _fresh_names,
     _linear_combo,
     _singularity_guards,
+    _snap_small_rationals,
     build_linear_system,
     max_residual,
     nullspace,
@@ -141,6 +142,35 @@ class TestSamplePoints:
                 got = sample_points(n, (0.0, 1.0, 0.0, 1.0), seed=seed,
                                     reject=[half])
                 assert np.array_equal(np.array(got), want[:n])
+
+
+class TestSnapSmallRationals:
+    """The rounding step of the basis match and of the map solve."""
+
+    def test_moved_entries_kept_when_they_hold(self):
+        values = np.array([[0.5 + 1e-12, 2.0], [1 / 3 + 1e-13, -0.0]])
+        seen = []
+        got = _snap_small_rationals(values, 64, 1e-6,
+                                    lambda a: seen.append(a) or True)
+        assert got is seen[0] and got is not values
+        assert got.tolist() == [[0.5, 2.0], [1 / 3, 0.0]]
+        assert math.copysign(1.0, got[1, 1]) == -1.0   # -0.0 stays put
+        assert values[0, 0] == 0.5 + 1e-12             # the input is not moved
+
+    def test_refused_move_returns_the_input(self):
+        values = np.array([0.25 + 1e-11, 1.5])
+        seen = []
+        got = _snap_small_rationals(values, 4096, 1e-9,
+                                    lambda c: seen.append(c.copy()) and False)
+        assert got is values
+        assert [c.tolist() for c in seen] == [[0.25, 1.5]]
+
+    def test_nothing_moves_returns_the_input(self):
+        # 2**-0.5 has no fraction within rel_tol, 0.75 is one already
+        values = np.array([2 ** -0.5, 0.75, 0.0])
+        got = _snap_small_rationals(
+            values, 64, 1e-6, lambda a: pytest.fail("nothing moved, yet asked"))
+        assert got is values
 
 
 class TestNullspace:

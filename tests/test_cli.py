@@ -86,6 +86,35 @@ class TestSymmetries:
         assert code == 2
         assert "requires a value" in err
 
+    # declarations that were silently dropped or could never be used
+    @pytest.mark.parametrize("declare, line, message", [
+        ("param x = 2", 2, "x is declared as var and as param"),
+        ("param t", 2, "t is declared as var and as param"),
+        ("var a\nparam a = 2", 3, "a is declared as var and as param"),
+        ("param a = 2\nvar a", 3, "a is declared as var and as param"),
+        ("var 1z", 2, "var '1z' is not a name"),
+        ("param a b = 2", 2, "param 'a b' is not a name"),
+        ("param = 2", 2, "param '' is not a name"),
+    ])
+    def test_unusable_declaration_exit_2(self, capsys, tmp_path, declare, line,
+                                         message):
+        path = tmp_path / "decl.prob"
+        path.write_text(f"[declare]\n{declare}\n[sde]\ndrift = 0\ndiffusion = 1\n")
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line}: {message}\n"
+
+    @pytest.mark.parametrize("spec", ["poly(;1)", "poly( , ;0)", "exp(t)*poly(;2)"])
+    def test_poly_without_variable_exit_2(self, capsys, tmp_path, spec):
+        # poly(;1) gave the entry 1 alone, and dropped the scaling generator
+        path = tmp_path / "poly.prob"
+        path.write_text(open(prob("brownian.prob")).read().replace(
+            "tau = poly(t;1)", f"tau = {spec}"))
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert (code, out) == (2, "")
+        inner = spec[spec.index("poly("):]
+        assert err == f"error: {path}:11: poly spec '{inner}' names no variable\n"
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.prob"
         path.write_text("[sde]\ndrift = )(\ndiffusion = 1\n")
@@ -231,6 +260,27 @@ class TestFindMap:
         assert code == 2
         assert "map.ansatz" in err
 
+    def test_clashing_parameter_exit_2_before_the_solves(self, capsys, tmp_path,
+                                                       monkeypatch):
+        import sdesym.cli as cli
+
+        monkeypatch.setattr(cli, "solve_symmetries", lambda *a, **k: pytest.fail())
+        path = tmp_path / "alpha3.prob"
+        path.write_text("[declare]\nparam alpha = 3.0\n"
+                        + open(prob("brownian.prob")).read())
+        code, out, err = run(capsys, "find-map", prob("langevin-affine.prob"),
+                             str(path))
+        assert (code, out) == (2, "")
+        assert "parameter alpha is 1.0 in the source and 3.0 in the target" in err
+
+    def test_equal_parameter_passes(self, capsys, tmp_path):
+        path = tmp_path / "alpha1.prob"
+        path.write_text("[declare]\nparam alpha = 1.0\n"
+                        + open(prob("brownian.prob")).read())
+        code, out, _ = run(capsys, "--paths", "300", "find-map",
+                           prob("langevin-affine.prob"), str(path))
+        assert code == 0 and "pass = true" in out
+
     def test_points_reach_the_map_solve(self, capsys, monkeypatch):
         import sdesym.transform as transform
 
@@ -346,6 +396,32 @@ class TestVerifyMap:
                              "--map", path)
         assert code == 5 and out == ""
         assert err == "error: initial state inf is not finite\n"
+
+    AFFINE_MAP = "mu1 = -exp(-2*alpha*t)/(2*alpha)\nmu2 = x*exp(-alpha*t)\n"
+
+    def brownian_with_alpha(self, tmp_path, value):
+        path = tmp_path / f"alpha{value}.prob"
+        path.write_text(f"[declare]\nparam alpha = {value}\n"
+                        + open(prob("brownian.prob")).read())
+        return str(path)
+
+    def test_clashing_parameter_exit_2(self, capsys, gen_file, tmp_path):
+        # the source binds alpha = 1.0; the map used to be evaluated at the
+        # target's alpha = 3.0, and the check failed at every checkpoint
+        path = gen_file(self.AFFINE_MAP, "aff.map")
+        tgt = self.brownian_with_alpha(tmp_path, "3.0")
+        code, out, err = run(capsys, "--paths", "300", "verify-map",
+                             prob("langevin-affine.prob"), tgt, "--map", path)
+        assert (code, out) == (2, "")
+        assert err == ("error: parameter alpha is 1.0 in the source and 3.0 "
+                       "in the target\n")
+
+    def test_equal_parameter_passes(self, capsys, gen_file, tmp_path):
+        path = gen_file(self.AFFINE_MAP, "aff.map")
+        tgt = self.brownian_with_alpha(tmp_path, "1.0")
+        code, out, _ = run(capsys, "--paths", "300", "verify-map",
+                           prob("langevin-affine.prob"), tgt, "--map", path)
+        assert code == 0 and "pass = true" in out
 
     def test_missing_target_exit_2(self, capsys, gen_file, tmp_path):
         src = tmp_path / "notarget.prob"

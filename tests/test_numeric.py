@@ -11,6 +11,7 @@ from sdesym.expr import parse
 from sdesym.numeric import (
     FlowError,
     NumericError,
+    ParameterClashError,
     _kolmogorov_sf,
     _time_change,
     euler_maruyama,
@@ -122,6 +123,18 @@ class TestFlow:
         moved = flow_apply(ens, v, 0.2)
         assert np.max(np.abs(moved.times - np.exp(0.4) * ens.times)) < 1e-9
         assert np.max(np.abs(moved.paths - np.exp(0.2) * ens.paths)) < 1e-9
+
+    def test_stochastic_generator_refused_by_both_users(self):
+        # the message names the flow, which verify_symmetry runs as well
+        v = VectorField(p("2*t"), p("x"), p("x"))
+        ens = euler_maruyama(BROWNIAN, 0.5, 1e-2, 10, 4, seed=1)
+        for call in (lambda: flow_apply(ens, v, 0.1),
+                     lambda: verify_symmetry(BROWNIAN, v, 0.1, x0=0.5, h=1e-2,
+                                             K=10, n_paths=4, seed=1)):
+            with pytest.raises(FlowError) as err:
+                call()
+            assert str(err.value) == ("the flow is simulated for deterministic "
+                                      "generators only (phitilde must vanish)")
 
     def test_eps_zero_identity(self):
         ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 16, seed=9)
@@ -291,6 +304,26 @@ class TestVerifyMap:
         with pytest.raises(NumericError, match="t only"):
             verify_map(self.SRC, BROWNIAN, bad, x0=1.0, h=1e-3, K=100,
                        n_paths=100, seed=0)
+
+    def test_clashing_parameter_refused_before_simulation(self, monkeypatch):
+        # the map is read against the source's alpha; a target that binds
+        # alpha to another value would evaluate it at the target's
+        src = Sde(parse("alpha*x", parameters=("alpha",)), p("1"), {"alpha": 1.0})
+        tgt = Sde(p("0"), p("1"), {"alpha": 3.0})
+        tmap = TransformMap(parse("-exp(-2*alpha*t)/(2*alpha)", parameters=("alpha",)),
+                            parse("x*exp(-alpha*t)", parameters=("alpha",)))
+        import sdesym.numeric as numeric
+
+        monkeypatch.setattr(numeric, "_simulate_uniform", lambda *a: pytest.fail())
+        with pytest.raises(ParameterClashError) as err:
+            verify_map(src, tgt, tmap, x0=1.0, h=1e-3, K=100, n_paths=100, seed=0)
+        assert isinstance(err.value, NumericError)
+        assert str(err.value) == ("parameter alpha is 1.0 in the source and "
+                                  "3.0 in the target")
+        monkeypatch.undo()
+        same = Sde(p("0"), p("1"), {"alpha": 1.0, "b": 2.0})
+        assert verify_map(src, same, tmap, x0=1.0, h=1e-3, K=1000,
+                          n_paths=1000, seed=0).passed
 
     def test_report_kv_format(self):
         rep = verify_map(self.SRC, BROWNIAN, self.PAPER, x0=1.0, h=1e-3,

@@ -199,7 +199,8 @@ def same_bits(a, b):
 
 def flow(v, params, eps, n_sub, times, states):
     """(beta, J, F) of the production flow: the time change on `times`, and
-    a copy of `states` transported along its stage times."""
+    a copy of `states` (one row per grid time) transported along its stage
+    times."""
     beta, J, stages = _time_change(v, params, eps, n_sub, times)
     F = np.array(states, dtype=float)
     _transport(compile_fn(v.phi, ("t", "x"), params), eps / n_sub, stages, F)
@@ -207,9 +208,12 @@ def flow(v, params, eps, n_sub, times, states):
 
 
 def flow_image(ens, v, eps, params, cols):
-    """_flow_image on a whole ensemble, read at the grid columns `cols`."""
-    return _flow_image(v, eps, params, ens.times, ens.paths[:8].copy(), cols,
-                       ens.paths[:, cols], ens.aborted)
+    """_flow_image on a whole ensemble, read at the grid columns `cols`; the
+    image is path-major, like ens.paths."""
+    beta, image, aborted = _flow_image(v, eps, params, ens.times,
+                                       ens.paths[:8].T.copy(), cols,
+                                       ens.paths.T[cols], ens.aborted)
+    return beta, image.T, aborted
 
 
 BROWNIAN = Sde(p("0"), p("1"))
@@ -222,9 +226,8 @@ SDES = {
     "overflowing": Sde(p("x^2"), p("1")),     # reaches inf near t = 2
 }
 K_LONG = 1000
-# path counts around the flow's block height on a row-major (n_paths,
-# K_LONG+1) array; on the step-major layout, BLOCK_ROWS + 1 and 2000 paths
-# end in a partial block of grid times
+# path counts around _FLOW_BLOCK_CELLS // (K_LONG+1); on the step-major
+# layout, BLOCK_ROWS + 1 and 2000 paths end in a partial block of grid times
 BLOCK_ROWS = _FLOW_BLOCK_CELLS // (K_LONG + 1)
 PATH_COUNTS = (1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2000)
 
@@ -280,13 +283,13 @@ class TestFlowOracle:
         K = K_LONG if n_paths in (2000, BLOCK_ROWS + 1) else 200
         ens = euler_maruyama(BROWNIAN, 0.5, 1e-3, K, n_paths, seed=7)
         params = {"a": 1.0}
-        # step-major ensembles (transposed paths) and row-major copies are
-        # blocked along different axes
-        for paths in (ens.paths, np.ascontiguousarray(ens.paths)):
-            got = flow(FIELDS[name], params, eps, 64, ens.times, paths)
-            want = reference_flow(FIELDS[name], params, eps, 64, ens.times, paths)
-            for g, w in zip(got, want):
-                assert same(g, w)
+        want = reference_flow(FIELDS[name], params, eps, 64, ens.times,
+                              ens.paths)
+        # the step-major array of a simulated ensemble, and an F-ordered copy
+        for states in (ens.paths.T, np.asfortranarray(ens.paths.T)):
+            beta, J, F = flow(FIELDS[name], params, eps, 64, ens.times, states)
+            assert same(beta, want[0]) and same(J, want[1])
+            assert same(F.T, want[2])
 
     def test_flow_apply_on_aborted_paths(self):
         ens = euler_maruyama(SDES["aborting"], 0.5, 1e-2, 300, 200, seed=5)
@@ -316,8 +319,8 @@ class TestFlowOracle:
         cols = _checkpoint_indices(100)
         for eps in (0.2, -0.15):
             moved = sub.copy()
-            _flow_image(FIELDS[name], eps, {"a": 1.0}, times, moved.T, cols,
-                        sub.T[:, cols], np.zeros(8, dtype=bool))
+            _flow_image(FIELDS[name], eps, {"a": 1.0}, times, moved, cols,
+                        sub[cols], np.zeros(8, dtype=bool))
             lone = reference_flow(FIELDS[name], {"a": 1.0}, eps, 64,
                                   np.array(times[0]), np.array(1.2))[2]
             assert same_bits(moved[:1, 0], np.reshape(lone, 1))

@@ -147,6 +147,11 @@ class TestProblemFile:
         assert parse_problem_text(text.replace(f"eps = {eps}", "eps = -0.3")
                                   ).numeric["eps"] == -0.3
 
+    def test_repeated_base_variable_accepted(self):
+        pf = parse_problem_text("[declare]\nvar t\nvar x\nvar t\nvar z\nvar z\n"
+                                "[sde]\ndrift = 0\ndiffusion = 1\n")
+        assert pf.variables == ("t", "x", "z")
+
     def test_extra_variable_declaration(self):
         pf = parse_problem_text("[declare]\nvar z\n\n[sde]\ndrift = 0\ndiffusion = 1\n")
         assert "z" in pf.variables
