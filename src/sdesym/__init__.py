@@ -11,10 +11,7 @@ from .ansatz import Ansatz, SymmetryBasis, nullspace, solve_symmetries
 from .lie import StructureConstants, BasisMatch, bracket, structure_constants, match_basis
 from .transform import TransformMap, PairedSymmetries, transformation_system, solve_map
 from .numeric import (
-    PathEnsemble,
-    euler_maruyama,
     residual_check,
-    flow_apply,
     verify_symmetry,
     verify_map,
 )
@@ -25,8 +22,7 @@ __all__ = [
     "Ansatz", "SymmetryBasis", "nullspace", "solve_symmetries",
     "StructureConstants", "BasisMatch", "bracket", "structure_constants", "match_basis",
     "TransformMap", "PairedSymmetries", "transformation_system", "solve_map",
-    "PathEnsemble", "euler_maruyama", "residual_check",
-    "flow_apply", "verify_symmetry", "verify_map",
+    "residual_check", "verify_symmetry", "verify_map",
 ]
 
 __version__ = "0.1.0"

@@ -64,7 +64,7 @@ def _load(path: str, args) -> ProblemFile:
     pf = load_problem(path)
     missing = sorted(k for k, v in pf.params.items() if v is None)
     if missing:
-        raise ProblemError(f"parameter {', '.join(missing)} requires a value")
+        raise ProblemError(f"{path}: parameter {', '.join(missing)} requires a value")
     pf.numeric.update(flags)
     return pf
 
@@ -271,7 +271,7 @@ def cmd_verify_symmetry(args) -> int:
 def cmd_verify_map(args) -> int:
     src_pf = _load(args.source, args)
     if args.target:
-        tgt = load_problem(args.target).require_sde()
+        tgt = _load(args.target, args).require_sde()
     elif src_pf.target is not None:
         tgt = src_pf.target
     else:

@@ -100,9 +100,6 @@ class DeterminingSystem:
     residuals: tuple
     unknowns: tuple = ()
 
-    def is_identically_zero(self) -> bool:
-        return all(simplify(r).is_zero() for r in self.residuals)
-
 
 def _ito(u: Expr, w: Expr) -> Expr:
     """(1/2)*u_xx*w^2, the Ito term of u along w; 0, with u_xx never

@@ -106,41 +106,14 @@ class Expr:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return add(self, negate(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), negate(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return negate(self)
 
     def is_zero(self) -> bool:
         return self.kind == CONST and self.value == 0
 
     def is_one(self) -> bool:
         return self.kind == CONST and self.value == 1
-
-    def is_const(self) -> bool:
-        return self.kind == CONST
 
 
 # ---------------------------------------------------------------------------

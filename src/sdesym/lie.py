@@ -59,9 +59,6 @@ class StructureConstants:
              + np.einsum("rki,srj->sijk", c, c))
         return float(np.max(np.abs(v)))
 
-    def antisymmetry_violation(self) -> float:
-        return float(np.max(np.abs(self.c + np.transpose(self.c, (0, 2, 1)))))
-
 
 @dataclass(frozen=True)
 class BasisMatch:

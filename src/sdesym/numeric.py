@@ -55,33 +55,6 @@ def joint_params(src: Sde, tgt: Sde) -> dict:
 # ---------------------------------------------------------------------------
 # path simulation
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Simulated paths on a strictly increasing time grid.
-
-    `aborted` flags paths that hit a singularity or left the float range.
-    Simulated ensembles store their states step-major, so `paths` is a
-    transposed view of a contiguous (K+1, n_paths) array.  The Wiener
-    increments that drove the steps are not kept.
-    """
-
-    times: np.ndarray        # (K+1,)
-    paths: np.ndarray        # (n_paths, K+1)
-    seed: int
-    aborted: np.ndarray      # (n_paths,) bool
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
-
-    def final_states(self) -> np.ndarray:
-        return self.paths[~self.aborted, -1]
-
-
 def _grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
@@ -136,14 +109,6 @@ def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
     normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
         (n_paths, K))
     return (times, *_simulate_on_grid(sde, x0, times, normals, rows))
-
-
-def euler_maruyama(sde: Sde, x0: float, h: float, K: int,
-                   n_paths: int, seed: int) -> PathEnsemble:
-    """Strong order-1/2 scheme X_{k+1} = X_k + f h + g dW on a uniform grid."""
-    times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed,
-                                          range(K + 1))
-    return PathEnsemble(times, X.T, seed, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +227,9 @@ def _transport(phi, h: float, stages, F: np.ndarray) -> None:
 
 def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
                 aborted):
-    """The flow of v and the checks of flow_apply and verify_symmetry, which
-    run on the source grid `times` and `sub`, the first few paths there
-    (moved in place).
+    """The flow of v and the checks of verify_symmetry, which run on the
+    source grid `times` and `sub`, the first few paths there (moved in
+    place).
 
     X holds every path at the grid rows `cols` (a slice or an index array).
     Returns the image grid, the images of X with the bits of a whole
@@ -298,21 +263,6 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
     F = np.array(X, order="C")
     _transport(phi, h, [[s[cols] for s in st] for st in stages], F)
     return beta, F, aborted | ~np.all(np.isfinite(F), axis=0)
-
-
-def flow_apply(ens: PathEnsemble, v: VectorField, eps: float):
-    """Transport an ensemble along the flow of a deterministic generator
-    whose expressions bind no parameter.
-
-    Integrates d(beta)/dr = tau(beta), dF/dr = phi(beta, F) from r = 0 to
-    eps (RK4 with FLOW_SUBSTEPS substeps plus a step-halving convergence
-    check on a path subsample) and returns the transformed ensemble on the
-    image time grid beta(t_k), every grid time included.
-    """
-    beta, newX, aborted = _flow_image(v, eps, {}, ens.times, ens.paths[:8].T.copy(),
-                                      slice(None), ens.paths.T, ens.aborted)
-    newX[:, aborted] = np.nan
-    return PathEnsemble(beta, newX.T, ens.seed, aborted)
 
 
 # ---------------------------------------------------------------------------

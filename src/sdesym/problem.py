@@ -142,8 +142,8 @@ def _poly_entries(spec: str, variables, parameters) -> list:
         raise ProblemError(f"poly degree '{deg_part.strip()}' is not an integer")
     if degree < 0:
         raise ProblemError("poly degree must be >= 0")
-    if not names:  # the entry 1 alone; an ExprError, so the reader names the line
-        raise ExprError(f"poly spec '{spec}' names no variable")
+    if not names:  # would be the entry 1 alone
+        raise ProblemError(f"poly spec '{spec}' names no variable")
     for nm in names:
         if nm not in variables:
             raise ProblemError(f"poly variable '{nm}' is not a declared variable")
@@ -220,10 +220,11 @@ def _read(path: str, what: str) -> str:
 
 
 def _at(where: str, parse_, *args):
-    """parse_(*args), its ExprError a ProblemError naming `where`."""
+    """parse_(*args), its ExprError or ProblemError a ProblemError naming
+    `where`."""
     try:
         return parse_(*args)
-    except ExprError as err:
+    except (ExprError, ProblemError) as err:
         raise ProblemError(f"{where}: {err}") from None
 
 

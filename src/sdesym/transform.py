@@ -16,7 +16,6 @@ Gauss-Newton path with random restarts takes over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +68,6 @@ class TransformMap:
     def time_only(self) -> bool:
         return "x" not in variables_of(self.mu1)
 
-    def __str__(self):
-        return f"mu1 = {self.mu1}; mu2 = {self.mu2}"
-
 
 @dataclass(frozen=True)
 class PairedSymmetries:
@@ -92,9 +88,6 @@ class PairedSymmetries:
 
     def __iter__(self):
         return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
 
     @classmethod
     def from_tx(cls, pairs) -> "PairedSymmetries":
@@ -271,8 +264,7 @@ def _solve_nonlinear(system, points, params, seed, pin, mu_bases):
         resid = float(np.max(np.abs(residual_fn(x))))
         if best is None or resid < best[0]:
             best = (resid, x)
-    if best is None or best[0] > 1e-6:
+    if best[0] > 1e-6:
         raise NoMapError(
-            f"nonlinear solve found no map (best residual "
-            f"{best[0] if best else math.inf:.3e})")
+            f"nonlinear solve found no map (best residual {best[0]:.3e})")
     return best[1]

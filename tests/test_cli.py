@@ -85,6 +85,7 @@ class TestSymmetries:
         code, _, err = run(capsys, "symmetries", str(path))
         assert code == 2
         assert "requires a value" in err
+        assert err == f"error: {path}: parameter a requires a value\n"
 
     # declarations that were silently dropped or could never be used
     @pytest.mark.parametrize("declare, line, message", [
@@ -114,6 +115,20 @@ class TestSymmetries:
         assert (code, out) == (2, "")
         inner = spec[spec.index("poly("):]
         assert err == f"error: {path}:11: poly spec '{inner}' names no variable\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("poly(q;1)", "poly variable 'q' is not a declared variable"),
+        ("poly(t)", "poly spec 'poly(t)' needs a ';degree' part"),
+        ("poly(t;1.5)", "poly degree '1.5' is not an integer"),
+        ("poly(t;-1)", "poly degree must be >= 0"),
+    ])
+    def test_malformed_poly_names_the_line(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "poly.prob"
+        path.write_text(open(prob("brownian.prob")).read().replace(
+            "tau = poly(t;1)", f"tau = {spec}"))
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:11: {message}\n"
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.prob"
@@ -333,6 +348,18 @@ class TestVerifySymmetry:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:3: duplicate phi\n"
 
+    def test_flow_not_converged_exit_5(self, capsys, gen_file):
+        # the residuals vanish, but at eps = 5 the time change t exp(10)
+        # outruns 64 RK4 substeps
+        path = gen_file("tau = 2*t\nphi = x\n")
+        code, out, err = run(capsys, "--paths", "200", "verify-symmetry",
+                             prob("brownian.prob"), "--generator", path,
+                             "--eps", "5")
+        assert code == 5
+        assert "residual.pass = true" in out and "checkpoint" not in out
+        assert err.startswith("error: flow integration did not converge "
+                              "(step-halving difference ")
+
     def test_bogus_candidate_exit_5(self, capsys, gen_file):
         path = gen_file("tau = 0\nphi = t\nphitilde = 0\n")
         code, out, _ = run(capsys, "verify-symmetry", prob("brownian.prob"),
@@ -423,6 +450,20 @@ class TestVerifyMap:
                            prob("langevin-affine.prob"), tgt, "--map", path)
         assert code == 0 and "pass = true" in out
 
+    def test_unbound_target_parameter_exit_2_before_simulation(
+            self, capsys, gen_file, tmp_path, monkeypatch):
+        import sdesym.numeric as numeric
+
+        monkeypatch.setattr(numeric, "_simulate_uniform",
+                            lambda *a: pytest.fail("the source was simulated"))
+        tgt = tmp_path / "tgt.prob"
+        tgt.write_text("[declare]\nparam c\n[sde]\ndrift = c\ndiffusion = 1\n")
+        path = gen_file(self.AFFINE_MAP, "paper.map")
+        code, out, err = run(capsys, "--paths", "100", "verify-map",
+                             prob("langevin-affine.prob"), str(tgt), "--map", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tgt}: parameter c requires a value\n"
+
     def test_missing_target_exit_2(self, capsys, gen_file, tmp_path):
         src = tmp_path / "notarget.prob"
         src.write_text(
@@ -433,31 +474,51 @@ class TestVerifyMap:
         assert "target" in err
 
 
+NOT_MATCHED = ("error: no change of basis matches the commutator tables "
+               "(algebras may be non-isomorphic)\n")
+ABELIAN = os.path.join(GOLDEN, "brownian-abelian.prob")
 GOLDEN_RUNS = [
-    *[(f"symmetries-{name}-{mode}", ("--mode", mode, "symmetries", prob(f"{name}.prob")), 0)
+    *[(f"symmetries-{name}-{mode}", ("--mode", mode, "symmetries", prob(f"{name}.prob")), 0, "")
       for name in SHIPPED for mode in ("classical", "stochastic")],
-    *[(f"brackets-{name}", ("--mode", "classical", "brackets", prob(f"{name}.prob")), 0)
+    *[(f"brackets-{name}", ("--mode", "classical", "brackets", prob(f"{name}.prob")), 0, "")
       for name in SHIPPED],
     ("match-langevin-affine-brownian",
-     ("match", prob("langevin-affine.prob"), prob("brownian.prob")), 0),
-    ("match-axinv-brownian", ("match", prob("axinv.prob"), prob("brownian.prob")), 4),
+     ("match", prob("langevin-affine.prob"), prob("brownian.prob")), 0, ""),
+    ("match-axinv-brownian", ("match", prob("axinv.prob"), prob("brownian.prob")), 4,
+     "error: algebra dimensions differ; no match attempted\n"),
+    ("find-map-axinv-brownian", ("find-map", prob("axinv.prob"), prob("brownian.prob")), 4,
+     "error: algebra dimensions differ (2 vs 3); no map attempted\n"),
+    # equal dimensions, but [g,g] is 1-dimensional against 0: no match
+    *[(f"{command}-axinv-brownian-abelian{suffix}",
+       (*out, command, prob("axinv.prob"), ABELIAN), 4, NOT_MATCHED)
+      for command in ("match", "find-map")
+      for suffix, out in (("", ()), ("-kv", ("--output", "kv")))],
     # stage-1 directions that do not decouple: each goes through the q-device
     *[(f"symmetries-{name}-{mode}{suffix}",
-       (*out, "--mode", mode, "symmetries", os.path.join(GOLDEN, f"{name}.prob")), 0)
+       (*out, "--mode", mode, "symmetries", os.path.join(GOLDEN, f"{name}.prob")), 0, "")
       for name, mode in (("xlogx", "stochastic"), ("ode-x2", "det-ode"))
       for suffix, out in (("", ()), ("-kv", ("--output", "kv")))],
 ]
 
 
-@pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS,
+@pytest.mark.parametrize("name, argv, code, err", GOLDEN_RUNS,
                          ids=[r[0] for r in GOLDEN_RUNS])
-def test_golden_text(capsys, name, argv, code):
-    """Full text output on the shipped problems with their default seeds."""
+def test_golden_text(capsys, name, argv, code, err):
+    """Full output on the shipped problems with their default seeds."""
     with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
         expected = fh.read()
-    got_code, out, _ = run(capsys, *argv)
-    assert got_code == code
-    assert out == expected
+    assert run(capsys, *argv) == (code, expected, err)
+
+
+def test_find_map_kv_golden(capsys):
+    # the match and the map; the KS lines depend on the sampled paths
+    with open(os.path.join(GOLDEN, "find-map-langevin-affine-brownian-kv.txt")) as fh:
+        expected = fh.read()
+    code, out, err = run(capsys, "--output", "kv", "find-map",
+                         prob("langevin-affine.prob"), prob("brownian.prob"))
+    assert (code, err) == (0, "")
+    assert "".join(line for line in out.splitlines(keepends=True)
+                   if line.startswith(("match.", "map."))) == expected
 
 
 BAD_OPTIONS = [

@@ -62,14 +62,15 @@ def max_abs(system, params, points):
 class TestClassical:
     def test_brownian_scaling_generator(self):
         ds = build_system(BROWNIAN, VectorField(p("2*t"), p("x")), "classical")
-        assert ds.is_identically_zero()
+        assert all(simplify(r).is_zero() for r in ds.residuals)
 
     def test_zero_field(self):
-        assert build_system(BROWNIAN, VectorField(), "classical").is_identically_zero()
+        ds = build_system(BROWNIAN, VectorField(), "classical")
+        assert all(simplify(r).is_zero() for r in ds.residuals)
 
     def test_langevin_exponential_translation(self):
         ds = build_system(LANGEVIN, VectorField(phi=p("exp(a*t)")), "classical")
-        assert ds.is_identically_zero()
+        assert all(simplify(r).is_zero() for r in ds.residuals)
 
     def test_rejects_x_dependent_tau(self):
         with pytest.raises(DeterminingError):
@@ -83,13 +84,13 @@ class TestClassical:
 class TestStochastic:
     def test_brownian_pure_stochastic_generator(self):
         ds = build_system(BROWNIAN, VectorField(phitilde=p("1")), "stochastic")
-        assert ds.is_identically_zero()
+        assert all(simplify(r).is_zero() for r in ds.residuals)
 
     def test_langevin_stochastic_generator(self):
         ds = build_system(LANGEVIN, VectorField(phitilde=p("exp(a*t)")), "stochastic")
         assert simplify(ds.residuals[1]).is_zero()
         assert simplify(ds.residuals[3]).is_zero()
-        assert ds.is_identically_zero()
+        assert all(simplify(r).is_zero() for r in ds.residuals)
 
     def test_reduction_to_classical_structural(self):
         # phitilde == 0: rows (i), (iii) coincide with the classical rows
@@ -127,7 +128,7 @@ class TestDeterministicOde:
     def test_constant_phitilde_on_trivial_ode(self):
         ode = Sde(p("0"), p("0"))
         ds = build_system(ode, VectorField(phitilde=p("1")), "det-ode")
-        assert ds.is_identically_zero()
+        assert all(simplify(r).is_zero() for r in ds.residuals)
         ds_t = build_system(ode, VectorField(phitilde=p("t")), "det-ode")
         assert not simplify(ds_t.residuals[1]).is_zero()
 

@@ -1,5 +1,5 @@
-"""Source hygiene: no private helper is left without a caller, and no
-defaulted parameter is left without a call that sets it."""
+"""Source hygiene: no private helper or public name is left without a
+caller, and no defaulted parameter is left without a call that sets it."""
 
 import ast
 import os
@@ -52,6 +52,44 @@ def test_every_private_name_has_a_use():
             skip = node if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             if not any(name in set(_uses(t, skip)) for _, t in modules):
                 unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def _exported():
+    """The names listed in sdesym.__all__."""
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return next(set(ast.literal_eval(node.value)) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["__all__"])
+
+
+def _public(tree):
+    """(name, node) of each public module-level function or class, and of
+    each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_has_a_use_or_is_exported():
+    """A public name that nothing in the package reads, and that the package
+    does not export, serves tests only."""
+    modules = list(_modules())
+    exported = _exported()
+    unused = []
+    for module, tree in modules:
+        for qualified, node in _public(tree):
+            name = node.name
+            if name in exported:
+                continue
+            if not any(name in set(_uses(t, node)) for _, t in modules):
+                unused.append(f"{module}: {qualified}")
     assert unused == []
 
 

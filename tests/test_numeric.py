@@ -12,10 +12,10 @@ from sdesym.numeric import (
     FlowError,
     NumericError,
     ParameterClashError,
+    _flow_image,
     _kolmogorov_sf,
+    _simulate_uniform,
     _time_change,
-    euler_maruyama,
-    flow_apply,
     ks_two_sample,
     residual_check,
     verify_map,
@@ -33,48 +33,61 @@ def p(s):
 BROWNIAN = Sde(p("0"), p("1"))
 
 
+def simulate(sde, x0, h, K, n_paths, seed):
+    """(times, X, aborted): every path at every grid time, one row of X per
+    grid time."""
+    return _simulate_uniform(sde, x0, h, K, n_paths, seed, range(K + 1))
+
+
+def move(v, eps, times, X, aborted):
+    """_flow_image of every cell of a simulated ensemble, with the first 8
+    paths as the step-halving subsample."""
+    return _flow_image(v, eps, {}, times, X[:, :8].copy(), slice(None), X,
+                       aborted)
+
+
 class TestEulerMaruyama:
     def test_deterministic_ramp(self):
-        ens = euler_maruyama(Sde(p("1"), p("0")), 0.0, 0.01, 200, 4, seed=0)
-        assert np.max(np.abs(ens.paths - ens.times[None, :])) < 1e-12
+        times, X, _ = simulate(Sde(p("1"), p("0")), 0.0, 0.01, 200, 4, seed=0)
+        assert np.max(np.abs(X - times[:, None])) < 1e-12
 
     def test_brownian_unit_variance(self):
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 100, 100_000, seed=7)
-        assert 0.99 <= float(np.var(ens.final_states())) <= 1.01
+        _, X, aborted = simulate(BROWNIAN, 0.0, 1e-2, 100, 100_000, seed=7)
+        assert 0.99 <= float(np.var(X[-1, ~aborted])) <= 1.01
 
     def test_ou_stationary_variance(self):
         ou = Sde(p("a*x"), p("b"), {"a": -1.0, "b": 1.0})
-        ens = euler_maruyama(ou, 0.0, 1e-3, 2000, 20_000, seed=11)
+        _, X, aborted = simulate(ou, 0.0, 1e-3, 2000, 20_000, seed=11)
         target = (1.0 - np.exp(-4.0)) / 2.0
         se = target * np.sqrt(2.0 / 20_000)
-        assert abs(float(np.var(ens.final_states())) - target) < 3 * se
+        assert abs(float(np.var(X[-1, ~aborted])) - target) < 3 * se
 
     def test_reproducible_bitwise(self):
-        a = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
-        b = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
-        assert np.array_equal(a.paths, b.paths)
-        c = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=4)
-        assert not np.array_equal(a.paths, c.paths)
+        a = simulate(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)[1]
+        b = simulate(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)[1]
+        assert np.array_equal(a, b)
+        c = simulate(BROWNIAN, 0.5, 1e-2, 50, 64, seed=4)[1]
+        assert not np.array_equal(a, c)
 
     def test_path_noise_independent_of_path_count(self):
         # path i's increments depend on (seed, i, K), not on n_paths
-        few = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 8, seed=3)
-        many = euler_maruyama(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)
-        assert np.array_equal(few.paths, many.paths[:8])
+        few = simulate(BROWNIAN, 0.5, 1e-2, 50, 8, seed=3)[1]
+        many = simulate(BROWNIAN, 0.5, 1e-2, 50, 64, seed=3)[1]
+        assert np.array_equal(few, many[:, :8])
 
     def test_singularity_aborts_paths(self):
         # log drift is undefined for x <= 0: paths crossing zero must be
         # flagged and frozen, the rest stay finite
         sde = Sde(p("log(x)"), p("1"))
-        ens = euler_maruyama(sde, 0.5, 1e-2, 300, 500, seed=5)
-        assert ens.aborted.any()
-        assert not ens.aborted.all()
-        assert np.all(np.isfinite(ens.paths[~ens.aborted]))
-        assert np.all(np.isnan(ens.paths[ens.aborted, -1]))
+        _, X, aborted = simulate(sde, 0.5, 1e-2, 300, 500, seed=5)
+        assert aborted.any()
+        assert not aborted.all()
+        assert np.all(np.isfinite(X[:, ~aborted]))
+        assert np.all(np.isnan(X[-1, aborted]))
 
     def test_invalid_step(self):
         with pytest.raises(NumericError):
-            euler_maruyama(BROWNIAN, 0.0, -0.1, 10, 2, seed=0)
+            simulate(BROWNIAN, 0.0, -0.1, 10, 2, seed=0)
 
 
 class TestResidualCheck:
@@ -112,23 +125,23 @@ class TestResidualCheck:
 
 class TestFlow:
     def test_time_translation(self):
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 100, 32, seed=3)
-        moved = flow_apply(ens, VectorField(tau=p("1")), 0.3)
-        assert np.max(np.abs(moved.times - (ens.times + 0.3))) < 1e-10
-        assert np.max(np.abs(moved.paths - ens.paths)) == 0.0
+        times, X, aborted = simulate(BROWNIAN, 0.0, 1e-2, 100, 32, seed=3)
+        beta, moved, _ = move(VectorField(tau=p("1")), 0.3, times, X, aborted)
+        assert np.max(np.abs(beta - (times + 0.3))) < 1e-10
+        assert np.max(np.abs(moved - X)) == 0.0
 
     def test_scaling_flow_closed_form(self):
-        ens = euler_maruyama(BROWNIAN, 0.4, 1e-2, 100, 32, seed=3)
+        times, X, aborted = simulate(BROWNIAN, 0.4, 1e-2, 100, 32, seed=3)
         v = VectorField(p("2*t"), p("x"))
-        moved = flow_apply(ens, v, 0.2)
-        assert np.max(np.abs(moved.times - np.exp(0.4) * ens.times)) < 1e-9
-        assert np.max(np.abs(moved.paths - np.exp(0.2) * ens.paths)) < 1e-9
+        beta, moved, _ = move(v, 0.2, times, X, aborted)
+        assert np.max(np.abs(beta - np.exp(0.4) * times)) < 1e-9
+        assert np.max(np.abs(moved - np.exp(0.2) * X)) < 1e-9
 
     def test_stochastic_generator_refused_by_both_users(self):
         # the message names the flow, which verify_symmetry runs as well
         v = VectorField(p("2*t"), p("x"), p("x"))
-        ens = euler_maruyama(BROWNIAN, 0.5, 1e-2, 10, 4, seed=1)
-        for call in (lambda: flow_apply(ens, v, 0.1),
+        ens = simulate(BROWNIAN, 0.5, 1e-2, 10, 4, seed=1)
+        for call in (lambda: move(v, 0.1, *ens),
                      lambda: verify_symmetry(BROWNIAN, v, 0.1, x0=0.5, h=1e-2,
                                              K=10, n_paths=4, seed=1)):
             with pytest.raises(FlowError) as err:
@@ -137,18 +150,19 @@ class TestFlow:
                                       "generators only (phitilde must vanish)")
 
     def test_eps_zero_identity(self):
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 16, seed=9)
-        moved = flow_apply(ens, VectorField(p("2*t"), p("x")), 0.0)
-        assert np.array_equal(moved.paths, ens.paths)
-        assert np.array_equal(moved.times, ens.times)
+        times, X, aborted = simulate(BROWNIAN, 0.0, 1e-2, 50, 16, seed=9)
+        beta, moved, _ = move(VectorField(p("2*t"), p("x")), 0.0, times, X,
+                              aborted)
+        assert np.array_equal(moved, X)
+        assert np.array_equal(beta, times)
 
     def test_invertibility(self):
-        ens = euler_maruyama(BROWNIAN, 0.2, 1e-2, 80, 24, seed=13)
+        times, X, aborted = simulate(BROWNIAN, 0.2, 1e-2, 80, 24, seed=13)
         v = VectorField(p("2*t"), p("x"))
-        fwd = flow_apply(ens, v, 0.35)
-        back = flow_apply(fwd, v, -0.35)
-        assert np.max(np.abs(back.paths - ens.paths)) < 1e-6
-        assert np.max(np.abs(back.times - ens.times)) < 1e-6
+        fwd = move(v, 0.35, times, X, aborted)
+        back_times, back, _ = move(v, -0.35, *fwd)
+        assert np.max(np.abs(back - X)) < 1e-6
+        assert np.max(np.abs(back_times - times)) < 1e-6
 
     def test_eta_sq_equals_dbeta_dt(self):
         # J, the variational factor, is the squared time-change density
@@ -161,19 +175,19 @@ class TestFlow:
             assert abs(eta2 - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_rejects_stochastic_generator(self):
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 10, 4, seed=1)
+        ens = simulate(BROWNIAN, 0.0, 1e-2, 10, 4, seed=1)
         with pytest.raises(FlowError):
-            flow_apply(ens, VectorField(phitilde=p("1")), 0.1)
+            move(VectorField(phitilde=p("1")), 0.1, *ens)
 
     def test_monotonicity_loss_detected(self):
         # tau < 0 shrinks times; beta stays increasing in t, but a huge eps
         # with tau = -t collapses the grid towards 0 monotonically, so use
         # a field whose variational factor changes sign instead
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-1, 10, 4, seed=1)
+        ens = simulate(BROWNIAN, 0.0, 1e-1, 10, 4, seed=1)
         with pytest.raises(FlowError):
             # dbeta/dr = -3*beta + 2: fixed point 2/3 attracts all nodes;
             # at large eps the grid degenerates and loses strict monotonicity
-            flow_apply(ens, VectorField(tau=p("2 - 3*t")), 12.0)
+            move(VectorField(tau=p("2 - 3*t")), 12.0, *ens)
 
 
 class TestKS:
@@ -181,19 +195,19 @@ class TestKS:
         # fresh ensembles of the same SDE with different seeds should pass
         hits = 0
         for rep in range(100):
-            e1 = euler_maruyama(BROWNIAN, 0.0, 5e-3, 200, 800, seed=900 + rep)
-            e2 = euler_maruyama(BROWNIAN, 0.0, 5e-3, 200, 800, seed=7900 + rep)
+            e1 = simulate(BROWNIAN, 0.0, 5e-3, 200, 800, seed=900 + rep)[1]
+            e2 = simulate(BROWNIAN, 0.0, 5e-3, 200, 800, seed=7900 + rep)[1]
             ok = True
             for k in (50, 100, 150, 200):
-                _, pv = ks_two_sample(e1.paths[:, k], e2.paths[:, k])
+                _, pv = ks_two_sample(e1[k], e2[k])
                 ok &= pv > 0.01
             hits += ok
         assert hits >= 95
 
     def test_detects_mean_shift(self):
-        e1 = euler_maruyama(BROWNIAN, 0.0, 5e-3, 200, 2000, seed=1)
-        e2 = euler_maruyama(BROWNIAN, 0.5, 5e-3, 200, 2000, seed=2)
-        _, pv = ks_two_sample(e1.paths[:, -1], e2.paths[:, -1])
+        e1 = simulate(BROWNIAN, 0.0, 5e-3, 200, 2000, seed=1)[1]
+        e2 = simulate(BROWNIAN, 0.5, 5e-3, 200, 2000, seed=2)[1]
+        _, pv = ks_two_sample(e1[-1], e2[-1])
         assert pv < 1e-6
 
 
@@ -255,6 +269,13 @@ class TestVerifySymmetry:
         rep = verify_symmetry(lg, VectorField(phi=p("exp(a*t)")), 0.4,
                               x0=1.0, h=1e-3, K=600, n_paths=1500, seed=8)
         assert rep.passed
+
+    def test_flow_not_converged_refused(self):
+        # F grows as exp(30 r): at eps = 0.2, 64 RK4 substeps of 0.094 in
+        # 30 r differ from 128 by more than 1e-8
+        with pytest.raises(FlowError, match="flow integration did not converge"):
+            verify_symmetry(BROWNIAN, VectorField(p("0"), p("30*x")), 0.2,
+                            x0=1.0, h=1e-2, K=100, n_paths=16, seed=1)
 
     def test_exact_symmetry_passes_with_one_low_checkpoint(self):
         # an exact symmetry (every residual is 0) whose first checkpoint

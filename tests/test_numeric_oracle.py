@@ -26,15 +26,12 @@ from sdesym.numeric import (
     FlowError,
     KSReport,
     NumericError,
-    PathEnsemble,
     _checkpoint_indices,
     _flow_image,
     _simulate_on_grid,
     _simulate_uniform,
     _time_change,
     _transport,
-    euler_maruyama,
-    flow_apply,
     ks_two_sample,
     verify_map,
     verify_symmetry,
@@ -82,6 +79,14 @@ def philox_normals(seed, n_paths, K):
         (n_paths, K))
 
 
+def simulate(sde, x0, h, K, n_paths, seed):
+    """(times, paths, aborted) of the production simulator at every grid
+    time, path-major like the references."""
+    times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed,
+                                          range(K + 1))
+    return times, X.T, aborted
+
+
 def reference_flow(v, params, eps, n_sub, times, states=None):
     tau = compile_fn(v.tau, ("t",), params)
     tau_t = compile_fn(diff(v.tau, "t"), ("t",), params)
@@ -118,14 +123,15 @@ def reference_flow(v, params, eps, n_sub, times, states=None):
     return beta, J, F
 
 
-def reference_flow_apply(ens, v, eps, params):
-    """Every cell of the ensemble moved, with the checks of the verifier;
-    a path is dropped when its image is non-finite at any grid time."""
-    beta, J, F = reference_flow(v, params, eps, 64, ens.times, ens.paths)
+def reference_flow_image(times, paths, aborted, v, eps, params):
+    """(beta, moved paths, aborted): every cell of the path-major ensemble
+    moved, with the checks of the verifier; a path is dropped, and reads
+    NaN, when its image is non-finite at any grid time."""
+    beta, J, F = reference_flow(v, params, eps, 64, times, paths)
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
-    sub = ens.paths[: min(8, ens.n_paths)]
-    beta2, _, sub2 = reference_flow(v, params, eps, 128, ens.times, sub)
+    sub = paths[:8]
+    beta2, _, sub2 = reference_flow(v, params, eps, 128, times, sub)
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - F[: sub.shape[0]])
     conv = max(float(np.max(np.abs(beta - beta2))),
@@ -135,55 +141,50 @@ def reference_flow_apply(ens, v, eps, params):
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    aborted = ens.aborted | ~np.all(np.isfinite(F), axis=1)
-    return PathEnsemble(beta, np.where(aborted[:, None], np.nan, F),
-                        ens.seed, aborted)
+    aborted = aborted | ~np.all(np.isfinite(F), axis=1)
+    return beta, np.where(aborted[:, None], np.nan, F), aborted
 
 
-def reference_fresh(sde, y0, times, n_paths, seed):
-    times, X, aborted = reference_simulate(sde, y0, times, n_paths,
-                                           seed + FRESH_SEED_OFFSET)
-    return PathEnsemble(times, X, seed + FRESH_SEED_OFFSET, aborted)
-
-
-def reference_compare(moved, fresh):
-    """KS tests of two whole ensembles at the checkpoints."""
-    keep_a, keep_b = ~moved.aborted, ~fresh.aborted
+def reference_compare(times, moved, aborted, fresh, fresh_aborted, seed):
+    """KS tests of two whole path-major ensembles at the checkpoints."""
+    keep_a, keep_b = ~aborted, ~fresh_aborted
     cps = []
-    for k in _checkpoint_indices(moved.n_steps):
-        xa, xb = moved.paths[keep_a, k], fresh.paths[keep_b, k]
+    for k in _checkpoint_indices(times.size - 1):
+        xa, xb = moved[keep_a, k], fresh[keep_b, k]
         stat, pv = ks_two_sample(xa, xb)
-        cps.append(Checkpoint(float(moved.times[k]), stat, pv, xa.size, xb.size))
+        cps.append(Checkpoint(float(times[k]), stat, pv, xa.size, xb.size))
     ok = all(cp.p_value > KS_P_THRESHOLD / len(cps) for cp in cps)
-    return KSReport(tuple(cps), ok, moved.seed, fresh.seed, moved.n_paths,
-                    int(moved.aborted.sum() + fresh.aborted.sum()))
+    return KSReport(tuple(cps), ok, seed, seed + FRESH_SEED_OFFSET,
+                    moved.shape[0], int(aborted.sum() + fresh_aborted.sum()))
 
 
 def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
-    ens = euler_maruyama(sde, x0, h, K, n_paths, seed)
     params = sde.bound_params()
-    moved = reference_flow_apply(ens, v, eps, params)
+    beta, moved, aborted = reference_flow_image(
+        *simulate(sde, x0, h, K, n_paths, seed), v, eps, params)
     y0 = float(reference_flow(v, params, eps, 64, np.array(0.0),
                               np.array(x0))[2])
-    return reference_compare(moved, reference_fresh(sde, y0, moved.times,
-                                                    n_paths, seed))
+    _, fresh, fresh_aborted = reference_simulate(sde, y0, beta, n_paths,
+                                                 seed + FRESH_SEED_OFFSET)
+    return reference_compare(beta, moved, aborted, fresh, fresh_aborted, seed)
 
 
 def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
     params = {**src.bound_params(), **tgt.bound_params()}
-    ens = euler_maruyama(src, x0, h, K, n_paths, seed)
-    s_times = np.asarray(compile_fn(simplify(tmap.mu1), ("t",), params)(ens.times),
+    times, paths, aborted = simulate(src, x0, h, K, n_paths, seed)
+    s_times = np.asarray(compile_fn(simplify(tmap.mu1), ("t",), params)(times),
                          dtype=float)
     mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
     with np.errstate(all="ignore"):
-        Y = np.asarray(mu2(np.broadcast_to(ens.times, ens.paths.shape),
-                           ens.paths), dtype=float)
+        Y = np.asarray(mu2(np.broadcast_to(times, paths.shape), paths),
+                       dtype=float)
         y0 = float(np.asarray(mu2(0.0, np.float64(x0)), dtype=float))
-    aborted = ens.aborted | ~np.all(np.isfinite(Y), axis=1)
-    moved = PathEnsemble(s_times, np.where(aborted[:, None], np.nan, Y),
-                         ens.seed, aborted)
-    return reference_compare(moved, reference_fresh(tgt, y0, s_times,
-                                                    n_paths, seed))
+    aborted = aborted | ~np.all(np.isfinite(Y), axis=1)
+    moved = np.where(aborted[:, None], np.nan, Y)
+    _, fresh, fresh_aborted = reference_simulate(tgt, y0, s_times, n_paths,
+                                                 seed + FRESH_SEED_OFFSET)
+    return reference_compare(s_times, moved, aborted, fresh, fresh_aborted,
+                             seed)
 
 
 def same(a, b):
@@ -207,12 +208,12 @@ def flow(v, params, eps, n_sub, times, states):
     return beta, J, F
 
 
-def flow_image(ens, v, eps, params, cols):
-    """_flow_image on a whole ensemble, read at the grid columns `cols`; the
-    image is path-major, like ens.paths."""
-    beta, image, aborted = _flow_image(v, eps, params, ens.times,
-                                       ens.paths[:8].T.copy(), cols,
-                                       ens.paths.T[cols], ens.aborted)
+def flow_image(times, paths, aborted, v, eps, params, cols):
+    """_flow_image on a whole path-major ensemble, read at the grid columns
+    `cols`; the image is path-major too."""
+    beta, image, aborted = _flow_image(v, eps, params, times,
+                                       paths[:8].T.copy(), cols,
+                                       paths.T[cols], aborted)
     return beta, image.T, aborted
 
 
@@ -247,21 +248,21 @@ class TestSimulationOracle:
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)
     def test_euler_maruyama_bit_identical(self, name, n_paths):
         K = K_LONG if n_paths == 2000 else 300
-        ens = euler_maruyama(SDES[name], 0.5, 1e-3 if n_paths == 2000 else 1e-2,
-                             K, n_paths, seed=11)
-        times, X, aborted = reference_simulate(SDES[name], 0.5, ens.times,
+        got = simulate(SDES[name], 0.5, 1e-3 if n_paths == 2000 else 1e-2, K,
+                       n_paths, seed=11)
+        times, X, aborted = reference_simulate(SDES[name], 0.5, got[0],
                                                n_paths, 11)
-        assert same(ens.times, times)
-        assert same(ens.paths, X)
-        assert same(ens.aborted, aborted)
+        assert same(got[0], times)
+        assert same(got[1], X)
+        assert same(got[2], aborted)
 
     @pytest.mark.parametrize("name", ["aborting", "overflowing"])
     def test_aborted_paths_are_nan(self, name):
-        ens = euler_maruyama(SDES[name], 0.5, 1e-2, 300, 500, seed=5)
-        assert 0 < ens.aborted.sum() < 500
-        assert np.all(np.isnan(ens.paths[ens.aborted, -1]))
-        ref = reference_simulate(SDES[name], 0.5, ens.times, 500, 5)
-        assert same(ens.paths, ref[1]) and same(ens.aborted, ref[2])
+        times, paths, aborted = simulate(SDES[name], 0.5, 1e-2, 300, 500, seed=5)
+        assert 0 < aborted.sum() < 500
+        assert np.all(np.isnan(paths[aborted, -1]))
+        ref = reference_simulate(SDES[name], 0.5, times, 500, 5)
+        assert same(paths, ref[1]) and same(aborted, ref[2])
 
     def test_non_uniform_grid(self):
         grid = np.cumsum(np.linspace(1e-3, 3e-3, 200))
@@ -271,37 +272,39 @@ class TestSimulationOracle:
         assert same(X.T, ref[1])
 
     def test_shapes(self):
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 50, 7, seed=1)
-        assert ens.paths.shape == (7, 51)
-        assert ens.aborted.shape == (7,)
-        assert (ens.n_paths, ens.n_steps) == (7, 50)
+        times, X, aborted = _simulate_uniform(BROWNIAN, 0.0, 1e-2, 50, 7, 1,
+                                              range(51))
+        assert X.shape == (51, 7)
+        assert aborted.shape == (7,)
+        assert times.shape == (51,)
 
 
 class TestFlowOracle:
     @pytest.mark.parametrize("name, n_paths, eps", FLOW_CASES)
     def test_flow_integrate_bit_identical(self, name, n_paths, eps):
         K = K_LONG if n_paths in (2000, BLOCK_ROWS + 1) else 200
-        ens = euler_maruyama(BROWNIAN, 0.5, 1e-3, K, n_paths, seed=7)
+        times, X, _ = _simulate_uniform(BROWNIAN, 0.5, 1e-3, K, n_paths, 7,
+                                        range(K + 1))
         params = {"a": 1.0}
-        want = reference_flow(FIELDS[name], params, eps, 64, ens.times,
-                              ens.paths)
+        want = reference_flow(FIELDS[name], params, eps, 64, times, X.T)
         # the step-major array of a simulated ensemble, and an F-ordered copy
-        for states in (ens.paths.T, np.asfortranarray(ens.paths.T)):
-            beta, J, F = flow(FIELDS[name], params, eps, 64, ens.times, states)
+        for states in (X, np.asfortranarray(X)):
+            beta, J, F = flow(FIELDS[name], params, eps, 64, times, states)
             assert same(beta, want[0]) and same(J, want[1])
             assert same(F.T, want[2])
 
     def test_flow_apply_on_aborted_paths(self):
-        ens = euler_maruyama(SDES["aborting"], 0.5, 1e-2, 300, 200, seed=5)
-        assert ens.aborted.any()
-        moved = flow_apply(ens, FIELDS["scaling"], 0.1)
-        beta, _, F = reference_flow(FIELDS["scaling"], {}, 0.1, 64,
-                                    ens.times, ens.paths)
-        aborted = ens.aborted | ~np.all(np.isfinite(F), axis=1)
-        assert same(moved.times, beta)
-        assert same(moved.aborted, aborted)
-        assert same(moved.paths, np.where(aborted[:, None], np.nan, F))
-        assert moved.paths.shape == ens.paths.shape
+        times, paths, aborted = simulate(SDES["aborting"], 0.5, 1e-2, 300, 200,
+                                         seed=5)
+        assert aborted.any()
+        beta, image, moved_aborted = flow_image(
+            times, paths, aborted, FIELDS["scaling"], 0.1, {}, slice(None))
+        want_beta, _, F = reference_flow(FIELDS["scaling"], {}, 0.1, 64,
+                                         times, paths)
+        assert same(beta, want_beta)
+        assert same(moved_aborted, aborted | ~np.all(np.isfinite(F), axis=1))
+        assert same(image, F)
+        assert image.shape == paths.shape
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_flow_map_points(self, name):
@@ -329,9 +332,10 @@ class TestFlowOracle:
 class TestNonFiniteTimes:
     def test_blown_up_time_change_is_refused(self):
         # d(beta)/dr = beta^2 reaches infinity before r = 1.5 for t >= 2/3
-        ens = euler_maruyama(BROWNIAN, 0.0, 1e-2, 100, 16, seed=1)
+        ens = simulate(BROWNIAN, 0.0, 1e-2, 100, 16, seed=1)
         with pytest.raises(FlowError, match="not finite"):
-            flow_apply(ens, VectorField(p("t^2"), p("x")), 1.5)
+            flow_image(*ens, VectorField(p("t^2"), p("x")), 1.5, {},
+                       slice(None))
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [0.0, np.inf, np.inf],
                                       [0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]])
@@ -380,18 +384,16 @@ class TestCheckpointTransport:
     @pytest.mark.parametrize("eps", (0.2, -0.15))
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_checkpoint_cells_bit_identical(self, name, eps):
-        ens = euler_maruyama(BROWNIAN, 0.5, 2e-3, 300, 500, seed=7)
+        ens = simulate(BROWNIAN, 0.5, 2e-3, 300, 500, seed=7)
         cols = _checkpoint_indices(300)
         params = {"a": 1.0}
-        beta, image, aborted = flow_image(ens, FIELDS[name], eps, params, cols)
-        full_beta, full, _ = flow_image(ens, FIELDS[name], eps, params,
+        beta, image, aborted = flow_image(*ens, FIELDS[name], eps, params, cols)
+        full_beta, full, _ = flow_image(*ens, FIELDS[name], eps, params,
                                         slice(None))
         assert same(beta, full_beta) and same(image, full[:, cols])
-        want = reference_flow(FIELDS[name], params, eps, 64, ens.times, ens.paths)
+        want = reference_flow(FIELDS[name], params, eps, 64, ens[0], ens[1])
         assert same(beta, want[0]) and same(image, want[2][:, cols])
         assert not aborted.any()
-        if name != "t-dependent":   # flow_apply binds no parameter
-            assert same(image, flow_apply(ens, FIELDS[name], eps).paths[:, cols])
 
     @pytest.mark.parametrize("v, eps, size", [
         (VectorField(p("t^2"), p("x")), 1.5, (1e-2, 100, 16)),
@@ -399,9 +401,9 @@ class TestCheckpointTransport:
     ])
     def test_same_flow_errors(self, v, eps, size):
         h, K, n = size
-        ens = euler_maruyama(BROWNIAN, 0.0, h, K, n, seed=1)
+        ens = simulate(BROWNIAN, 0.0, h, K, n, seed=1)
         with pytest.raises(FlowError) as want:
-            flow_apply(ens, v, eps)
+            flow_image(*ens, v, eps, {}, slice(None))
         with pytest.raises(FlowError) as got:
             verify_symmetry(BROWNIAN, v, eps, x0=0.0, h=h, K=K, n_paths=n,
                             seed=1)
@@ -413,13 +415,13 @@ class TestCheckpointTransport:
         # time 3 only, the second's at grid time 4 only
         paths = np.ones((2, 9))
         paths[0, 3] = paths[1, 4] = -1.0
-        ens = PathEnsemble(np.arange(9) / 8, paths, 0, np.zeros(2, dtype=bool))
+        ens = (np.arange(9) / 8, paths, np.zeros(2, dtype=bool))
         v = VectorField(p("0"), p("log(x)"))
-        _, image, aborted = flow_image(ens, v, 0.1, {}, _checkpoint_indices(8))
+        _, image, aborted = flow_image(*ens, v, 0.1, {}, _checkpoint_indices(8))
         assert aborted.tolist() == [False, True]
         assert np.all(np.isfinite(image[0]))
         # the whole-grid image drops both
-        assert flow_apply(ens, v, 0.1).aborted.tolist() == [True, True]
+        assert flow_image(*ens, v, 0.1, {}, slice(None))[2].tolist() == [True, True]
 
     @pytest.mark.parametrize("pole, dropped", [("3/8", 0), ("1/4", 600)])
     def test_verify_symmetry_drops_at_checkpoints_only(self, pole, dropped):

@@ -161,6 +161,31 @@ class TestSolveMap:
                       params={"alpha": 1.0, "beta": 0.0},
                       window=(0.0, 1.0, 0.5, 2.0))
 
+    def test_near_map_fails_reverification(self):
+        # (exp(x) d/dx, 1000 d/dy) needs mu2 = -1000 exp(-x) + c.  A degree-9
+        # polynomial fits it to about 1e-6: inside the feasibility gate, which
+        # scales with the largest |b| (1000), but above VERIFY_TOL = 1e-8 at
+        # the fresh points
+        pairs = PairedSymmetries.from_tx([
+            (VectorField(tau=p("1")), VectorField(tau=p("1"))),
+            (VectorField(phi=p("exp(x)")), VectorField(phi=p("1000"))),
+        ])
+        mu2_basis = tuple(p(f"x^{k}") for k in range(10))
+        with pytest.raises(NoMapError, match="candidate map fails "
+                                             "re-verification: residual "):
+            solve_map(pairs, (p("1"), p("t")), mu2_basis, params={},
+                      window=(0.1, 1.0, 0.5, 2.0))
+
+    def test_nonlinear_solve_finds_no_map(self):
+        # (d/dx, (y^2 + 1) d/dy) needs mu2_x = mu2^2 + 1, so mu2 = tan(x + c):
+        # no affine mu2 = a + b x solves (a + b x)^2 + 1 = b
+        pairs = PairedSymmetries.from_tx(
+            [(VectorField(phi=p("1")), VectorField(phi=p("x^2 + 1")))])
+        with pytest.raises(NoMapError, match="nonlinear solve found no map "
+                                             r"\(best residual "):
+            solve_map(pairs, (p("1"), p("t")), (p("1"), p("x")), params={},
+                      window=(0.1, 1.0, 0.5, 2.0))
+
     def test_nonlinear_target_path(self):
         # y^2 d/dy is not affine in y: the quadratic composition routes the
         # solve to Gauss-Newton; x^2 d/dx pairs with it under mu = (t, x)
