@@ -270,11 +270,16 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
                 seed: int = 0) -> BasisMatch:
     """Find A with the transformed commutator table equal to the target's.
 
-    Gauss-Newton from 64 starts (the identity, then structured
+    Gauss-Newton from up to 64 starts (the identity, then structured
     random matrices with entries from {0, +-1, +-2, +-c, +-1/c} jittered).
-    Among starts reaching residual < MATCH_TOL the sparsest result wins.  A
-    no-match outcome (possibly non-isomorphic algebras) is reported via
-    `matched=False`, not an exception.
+    A start's result counts only if, after sparsifying, row normalization
+    and rational snapping, its residual is below MATCH_TOL and |det A|
+    exceeds 1e-9, so a singular A is refused.  The sparsest such result
+    wins, the earliest start on a tie.  An invertible n x n matrix has at
+    least n nonzeros, so the search stops at the first start whose result
+    has exactly n; otherwise all 64 run.  A no-match outcome (possibly
+    non-isomorphic algebras) is reported via `matched=False`, not an
+    exception.
     """
     if src.n != tgt.n:
         return BasisMatch(np.eye(max(src.n, tgt.n)), math.inf, False)
@@ -287,7 +292,7 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
         return (float(np.max(np.abs(_match_residual(B, S, T)))) < MATCH_TOL
                 and abs(np.linalg.det(B)) > 1e-9)
 
-    best = None  # (n_nonzeros, restart_index, A, residual)
+    best = None  # (n_nonzeros, A, residual) of the earliest sparsest start
     for k in range(64):
         if k == 0:
             A0 = np.eye(n)
@@ -302,13 +307,14 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
         A[np.abs(A) < 1e-7] = 0.0
         A = _snap_small_rationals(A, 64, 1e-6, holds)
         resid = float(np.max(np.abs(_match_residual(A, S, T))))
-        if resid >= MATCH_TOL:
+        if resid >= MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
             continue
         nnz = int(np.count_nonzero(A))
-        cand = (nnz, k, A, resid)
-        if best is None or cand[0] < best[0]:
-            best = cand
+        if best is None or nnz < best[0]:
+            best = (nnz, A, resid)
+        if best[0] == n:  # an invertible A has >= n nonzeros: none can win
+            break
     if best is None:
         return BasisMatch(np.eye(n), math.inf, False)
-    _, _, A, resid = best
+    _, A, resid = best
     return BasisMatch(A, resid, True)

@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 
 from sdesym import expr as ex
+from sdesym import lie
 from sdesym.ansatz import _field_features
 
 
@@ -91,6 +92,51 @@ def express_in_basis(generators, target, points, params):
         resid = F @ coeffs - y
     scale = max(1.0, float(np.max(np.abs(y))))
     return coeffs, float(np.max(np.abs(resid))) / scale
+
+
+# ---------------------------------------------------------------------------
+# every-restart basis match (reference for lie.match_basis's early stop)
+
+def match_basis_all_restarts(src, tgt, seed=0):
+    """lie.match_basis as it ran before it stopped early: all 64 restarts
+    run, and the final gate checks the residual only.  Returns the
+    BasisMatch and the restart index of the winning candidate (None when
+    nothing matched)."""
+    if src.n != tgt.n:
+        return lie.BasisMatch(np.eye(max(src.n, tgt.n)), math.inf, False), None
+    n = src.n
+    S, T = src.c, tgt.c
+    rng = np.random.default_rng(seed)
+    pool = lie._restart_pool(S, T)
+
+    def holds(B):
+        return (float(np.max(np.abs(lie._match_residual(B, S, T)))) < lie.MATCH_TOL
+                and abs(np.linalg.det(B)) > 1e-9)
+
+    best = None  # (n_nonzeros, restart_index, A, residual)
+    for k in range(64):
+        if k == 0:
+            A0 = np.eye(n)
+        else:
+            A0 = rng.choice(pool, size=(n, n)) + rng.normal(0.0, 0.05, size=(n, n))
+        A, _ = lie._gauss_newton_match(A0, S, T)
+        resid = float(np.max(np.abs(lie._match_residual(A, S, T))))
+        if resid >= lie.MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
+            continue
+        A = lie._sparsify(A, S, T, lie.MATCH_TOL)
+        A = lie._normalize_rows(A, holds)
+        A[np.abs(A) < 1e-7] = 0.0
+        A = lie._snap_small_rationals(A, 64, 1e-6, holds)
+        resid = float(np.max(np.abs(lie._match_residual(A, S, T))))
+        if resid >= lie.MATCH_TOL:
+            continue
+        cand = (int(np.count_nonzero(A)), k, A, resid)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    if best is None:
+        return lie.BasisMatch(np.eye(n), math.inf, False), None
+    _, k, A, resid = best
+    return lie.BasisMatch(A, resid, True), k
 
 
 # ---------------------------------------------------------------------------

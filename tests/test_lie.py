@@ -12,6 +12,7 @@ from sdesym.lie import (
     ClosureError,
     LieError,
     StructureConstants,
+    _gauss_newton,
     _match_residual,
     apply_match,
     bracket,
@@ -211,3 +212,18 @@ class TestMatchBasis:
         m1 = match_basis(sc, tc, seed=12)
         m2 = match_basis(sc, tc, seed=12)
         assert np.array_equal(m1.A, m2.A)
+
+
+class TestGaussNewton:
+    def test_singular_damped_normal_matrix_is_retried(self):
+        # H = J^T J has entries 1e10, so H + lam*I rounds to the singular H
+        # for lam = 1e-8 and 1e-7: solve raises twice before the damping
+        # has grown enough to take a step
+        J = np.array([[1e5, 1e5]])
+        H = J.T @ J
+        for lam in (1e-8, 1e-7):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(H + lam * np.eye(2), np.ones(2))
+        x, resid = _gauss_newton(lambda x: J @ x + 1.0, lambda x: J, np.zeros(2), 80)
+        assert np.all(np.isfinite(x))
+        assert resid < 1e-8   # from |r(0)| = 1
