@@ -22,16 +22,16 @@ from .determining import (
     DeterminingSystem,
     Sde,
     VectorField,
+    _derivatives,
+    _ito_terms,
     build_system,
 )
 from .expr import (
     Expr,
     EvalError,
-    HALF,
     ZERO,
     add,
     const,
-    diff,
     evaluate_points,
     finite_points,
     mul,
@@ -169,9 +169,7 @@ def sample_points(n: int, window=DEFAULT_WINDOW, seed: int = 0,
 
 def _singularity_guards(sde: Sde) -> list:
     f, g = sde.drift, sde.diffusion
-    fx = diff(f, "x")
-    gx = diff(g, "x")
-    return [f, g, diff(f, "t"), fx, diff(fx, "x"), diff(g, "t"), gx, diff(gx, "x")]
+    return [f, g, *_derivatives(f), *_derivatives(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +442,23 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     # ---- stage 2: the phitilde = 0 run, then each stage-1 direction
     det = VectorField(_linear_combo(det_names[:n_tau], a.tau),
                       _linear_combo(det_names[n_tau:], a.phi), ZERO)
+    stage2 = build_system(sde, det, mode).residuals
     candidates = []
     if det_names:
-        candidates = [field(vec) for vec in null_vectors(
-            build_system(sde, det, mode).residuals, det_names, "stage-2")]
-    # the phitilde^2 terms of rows (i) and (iii); an ODE has row (i) only
-    coeffs = (sde.drift,) if mode == "det-ode" else (sde.drift, sde.diffusion)
+        candidates = [field(vec) for vec in null_vectors(stage2, det_names, "stage-2")]
+    # phitilde enters the other rows, (i) and (iii) or an ODE's (i), only
+    # through the Ito terms (1/2)*f_xx*phitilde^2 and (1/2)*g_xx*phitilde^2
+    square_rows = [r for i, r in enumerate(stage2) if i not in PHITILDE_ROWS[mode]]
+    tables = [_derivatives(c) for c in (sde.drift, sde.diffusion)[:len(square_rows)]]
     for direction in stage1_dirs:
-        qs = [simplify(mul(HALF, diff(diff(c, "x"), "x"), direction, direction))
-              for c in coeffs]
+        qs = [simplify(_ito_terms(dc, ZERO, ZERO, direction)[2]) for dc in tables]
         if all(_is_numerically_zero(q, points, params) for q in qs):
-            # phitilde enters the remaining rows only through its square,
-            # which vanishes here: the direction decouples completely.
+            # the square vanishes here: the direction decouples completely
             candidates.append(VectorField(ZERO, ZERO, direction))
             continue
-        # q-device: rows (i) and (iii) at phitilde = 0 (row (i) alone for an
-        # ODE, whose row (ii) vanishes there) plus q = scale^2 times their
+        # q-device: those rows at phitilde = 0 plus q = scale^2 times their
         # phitilde^2 terms are affine in (tau, phi coefficients, q)
-        base = build_system(sde, det, "det-ode" if mode == "det-ode" else "classical")
-        rows = [add(r, mul(param(q_name), q))
-                for r, q in zip(base.residuals[:len(qs)], qs)]
+        rows = [add(r, mul(param(q_name), q)) for r, q in zip(square_rows, qs)]
         for vec in null_vectors(rows, (*det_names, q_name), "stage-2"):
             q = vec[-1]
             if abs(q) <= 1e-10:

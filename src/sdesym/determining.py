@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from .expr import (
     Expr,
     HALF,
+    ONE,
     ZERO,
     _split_negative,
+    add,
     diff,
     mul,
+    negate,
     simplify,
     to_str,
     variables_of,
@@ -101,27 +104,38 @@ class DeterminingSystem:
     unknowns: tuple = ()
 
 
-def _ito(u: Expr, w: Expr) -> Expr:
-    """(1/2)*u_xx*w^2, the Ito term of u along w; 0, with u_xx never
-    formed, when w is the constant 0 (as phitilde in a classical system or
-    g for an ODE usually is)."""
-    if w.is_zero():
-        return ZERO
-    return mul(HALF, diff(diff(u, "x"), "x"), w, w)
+def _derivatives(u: Expr) -> tuple:
+    """(u_t, u_x, u_xx): the derivatives of u that Ito's formula reads."""
+    u_x = diff(u, "x")
+    return diff(u, "t"), u_x, diff(u_x, "x")
+
+
+def _ito_terms(du: tuple, tau: Expr, phi: Expr, w: Expr) -> list:
+    """Ito's formula for u(t, X) along (tau, phi, w), du = _derivatives(u):
+    the terms u_t*tau, u_x*phi and (1/2)*u_xx*w^2, the last 0 when w is."""
+    u_t, u_x, u_xx = du
+    return [mul(u_t, tau), mul(u_x, phi),
+            ZERO if w.is_zero() else mul(HALF, u_xx, w, w)]
 
 
 def build_system(sde: Sde, v: VectorField, mode: str) -> DeterminingSystem:
     """Residuals of the determining system; mode is 'classical',
-    'stochastic' or 'det-ode'.  The stochastic system has four rows:
+    'stochastic' or 'det-ode'.
 
-    (i)   f_t*tau + tau_t*f + f_x*phi + (1/2)*f_xx*phitilde^2
-            - phi_t - phi_x*f - (1/2)*phi_xx*g^2
-    (ii)  f_x*phitilde - phitilde_t - phitilde_x*f - (1/2)*phitilde_xx*g^2
-    (iii) g_t*tau + (1/2)*tau_t*g + g_x*phi + (1/2)*g_xx*phitilde^2 - phi_x*g
+    The rows are Ito's formula along the generator, written once in
+    `_ito_terms`: with A = d/dt + f d/dx + (1/2) g^2 d^2/dx^2 the SDE's
+    generator, Ito(u) the terms of u along v = (tau, phi, phitilde) and
+    Au those of u along (1, f, g), the stochastic system has four rows:
+
+    (i)   Ito(f) + tau_t*f - A phi
+    (ii)  f_x*phitilde - A phitilde
+    (iii) Ito(g) + (1/2)*tau_t*g - phi_x*g
     (iv)  g_x*phitilde - phitilde_x*g
 
     'classical' keeps (i) and (iii) and requires phitilde == 0; 'det-ode'
     keeps (i) and (ii) and requires g == 0.  tau must depend on t only.
+    Each row is one flat sum whose subtracted terms are negated one by one
+    (simplify keeps a negated sum whole, so grouping them changes trees).
     """
     if mode not in ("classical", "stochastic", "det-ode"):
         raise DeterminingError(f"unknown mode {mode!r}")
@@ -133,16 +147,17 @@ def build_system(sde: Sde, v: VectorField, mode: str) -> DeterminingSystem:
         raise DeterminingError("deterministic-ODE system requires g == 0")
     f, g = sde.drift, sde.diffusion
     tau, phi, pt = v.tau, v.phi, v.phitilde
-    rows = [mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
-            + _ito(f, pt) - diff(phi, "t") - mul(diff(phi, "x"), f) - _ito(phi, g)]
+    df, dg, dphi, dpt = map(_derivatives, (f, g, phi, pt))
+    tau_t = diff(tau, "t")
+    rows = [add(*_ito_terms(df, tau, phi, pt), mul(tau_t, f),
+                *map(negate, _ito_terms(dphi, ONE, f, g)))]
     if mode != "classical":
-        rows.append(mul(diff(f, "x"), pt) - diff(pt, "t") - mul(diff(pt, "x"), f)
-                    - _ito(pt, g))
+        rows.append(add(mul(df[1], pt), *map(negate, _ito_terms(dpt, ONE, f, g))))
     if mode != "det-ode":
-        rows.append(mul(diff(g, "t"), tau) + mul(HALF, diff(tau, "t"), g)
-                    + mul(diff(g, "x"), phi) + _ito(g, pt) - mul(diff(phi, "x"), g))
+        rows.append(add(*_ito_terms(dg, tau, phi, pt), mul(HALF, tau_t, g),
+                        negate(mul(dphi[1], g))))
     if mode == "stochastic":
-        rows.append(mul(diff(g, "x"), pt) - mul(diff(pt, "x"), g))
+        rows.append(add(mul(dg[1], pt), negate(mul(dpt[1], g))))
     return DeterminingSystem(tuple(simplify(r) for r in rows))
 
 

@@ -96,11 +96,13 @@ def structure_constants(basis, points, params=None) -> StructureConstants:
 
     Each pair i < j is solved once; the (j, i) entries are the negated
     (i, j) ones.  Raises ClosureError when a bracket leaves the span of the
-    basis by more than CLOSURE_TOL (relative).
+    basis by more than CLOSURE_TOL (relative), and LieError on an empty basis.
     """
     params = dict(params or {})
     basis = list(basis)
     n = len(basis)
+    if not n:
+        raise LieError("no deterministic generators to bracket")
     Phi = _features(basis, points, params)
     scale = max(1.0, float(np.max(np.abs(Phi))))
     c = np.zeros((n, n, n))
@@ -288,9 +290,11 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
     rng = np.random.default_rng(seed)
     pool = _restart_pool(S, T)
 
+    def residual(B):  # 0 for n = 1, whose table has no entries
+        return float(np.max(np.abs(_match_residual(B, S, T)), initial=0.0))
+
     def holds(B):  # a rescaled or rounded A: still a match, and invertible
-        return (float(np.max(np.abs(_match_residual(B, S, T)))) < MATCH_TOL
-                and abs(np.linalg.det(B)) > 1e-9)
+        return residual(B) < MATCH_TOL and abs(np.linalg.det(B)) > 1e-9
 
     best = None  # (n_nonzeros, A, residual) of the earliest sparsest start
     for k in range(64):
@@ -299,14 +303,14 @@ def match_basis(src: StructureConstants, tgt: StructureConstants,
         else:
             A0 = rng.choice(pool, size=(n, n)) + rng.normal(0.0, 0.05, size=(n, n))
         A, _ = _gauss_newton_match(A0, S, T)
-        resid = float(np.max(np.abs(_match_residual(A, S, T))))
+        resid = residual(A)
         if resid >= MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
             continue
         A = _sparsify(A, S, T, MATCH_TOL)
         A = _normalize_rows(A, holds)
         A[np.abs(A) < 1e-7] = 0.0
         A = _snap_small_rationals(A, 64, 1e-6, holds)
-        resid = float(np.max(np.abs(_match_residual(A, S, T))))
+        resid = residual(A)
         if resid >= MATCH_TOL or abs(np.linalg.det(A)) <= 1e-9:
             continue
         nnz = int(np.count_nonzero(A))

@@ -149,10 +149,6 @@ def residual_check(ds: DeterminingSystem, params=None,
 # ---------------------------------------------------------------------------
 # deterministic flows with time change
 
-# cells of F per block in _transport: the block's RK4 buffers stay in cache
-_FLOW_BLOCK_CELLS = 32_768
-
-
 def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
     """(beta, J) of the flow at r = eps from beta = `times`, J = 1, and
     each RK4 substep's four stage times, along which F is transported."""
@@ -188,41 +184,36 @@ def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
 def _transport(phi, h: float, stages, F: np.ndarray) -> None:
     """dF/dr = phi(beta, F) by RK4 over the given stage times, in place.
 
-    F and each stage time array hold one row per grid time.  Cells are
-    independent, so F is split into blocks of about _FLOW_BLOCK_CELLS cells,
-    each taken through every substep with preallocated buffers.  Per cell
-    the roundings are those of F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
+    F and each stage time array hold one row per grid time; F goes through
+    every substep with three preallocated buffers.  Per cell the roundings
+    are those of F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
     k2 = phi(b2, F + (h/2) k1) etc.; a sum may take its operands in swapped
     order (IEEE addition commutes), so that most passes update a buffer in
     place and stream two arrays rather than three.  phi may return its
     argument or a scalar.
     """
     pad = (1,) * (F.ndim - 1)   # a stage time per row, across its paths
-    stages = [[np.reshape(s, s.shape + pad) for s in st] for st in stages]
-    rows = max(1, _FLOW_BLOCK_CELLS * F.shape[0] // max(F.size, 1))
     c_half, c_sixth = 0.5 * h, h / 6.0
+    arg, acc, tmp = (np.empty_like(F) for _ in range(3))
     with np.errstate(all="ignore"):
-        for lo in range(0, F.shape[0], rows):
-            Fb = F[lo:lo + rows]
-            arg, acc, tmp = (np.empty_like(Fb) for _ in range(3))
-            for st in stages:
-                b1, b2, b3, b4 = (s[lo:lo + rows] for s in st)
-                k1 = phi(b1, Fb)             # Fb itself if phi = x
-                np.multiply(k1, c_half, out=arg)
-                np.add(arg, Fb, out=arg)
-                k = phi(b2, arg)             # arg itself if phi = x
-                np.multiply(k, 2, out=acc)
-                np.add(acc, k1, out=acc)
-                np.multiply(k, c_half, out=arg)
-                np.add(arg, Fb, out=arg)
-                k = phi(b3, arg)
-                np.multiply(k, 2, out=tmp)
-                np.add(acc, tmp, out=acc)
-                np.multiply(k, h, out=arg)
-                np.add(arg, Fb, out=arg)
-                np.add(acc, phi(b4, arg), out=acc)
-                np.multiply(acc, c_sixth, out=acc)
-                np.add(Fb, acc, out=Fb)
+        for st in stages:
+            b1, b2, b3, b4 = (np.reshape(s, s.shape + pad) for s in st)
+            k1 = phi(b1, F)              # F itself if phi = x
+            np.multiply(k1, c_half, out=arg)
+            np.add(arg, F, out=arg)
+            k = phi(b2, arg)             # arg itself if phi = x
+            np.multiply(k, 2, out=acc)
+            np.add(acc, k1, out=acc)
+            np.multiply(k, c_half, out=arg)
+            np.add(arg, F, out=arg)
+            k = phi(b3, arg)
+            np.multiply(k, 2, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(k, h, out=arg)
+            np.add(arg, F, out=arg)
+            np.add(acc, phi(b4, arg), out=acc)
+            np.multiply(acc, c_sixth, out=acc)
+            np.add(F, acc, out=F)
 
 
 def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,

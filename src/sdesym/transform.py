@@ -1,7 +1,8 @@
 """Transformation maps between SDEs from matched symmetry pairs.
 
 Each pair (source generator v, target generator u) contributes four
-residual rows tying the unknown map mu = (mu1(t,x), mu2(t,x)) to the pair:
+residual rows tying the unknown map mu = (mu1(t,x), mu2(t,x)) to the pair,
+Ito's formula for mu along v against u at mu:
 
     rho o mu  - (mu1_t*tau + mu1_x*phi + (1/2)*mu1_xx*phitilde^2)
     mu1_x * phitilde
@@ -32,15 +33,15 @@ from .ansatz import (
     build_linear_system,
     sample_points,
 )
-from .determining import DeterminingSystem, VectorField
+from .determining import DeterminingSystem, VectorField, _derivatives, _ito_terms
 from .expr import (
     Expr,
-    HALF,
     add,
     diff,
     evaluate_points,
     finite_points,
     mul,
+    negate,
     parameters_of,
     simplify,
     substitute,
@@ -104,28 +105,19 @@ class PairedSymmetries:
 
 def transformation_system(pairs: PairedSymmetries, mu1: Expr, mu2: Expr,
                           unknowns=()) -> DeterminingSystem:
-    """Residual rows of the map conditions for every pair."""
+    """Residual rows of the map conditions for every pair: the target's
+    coefficients at mu against Ito's formula for mu along the source field."""
     comp = {"s": mu1, "y": mu2}
-    mu1_t, mu1_x = diff(mu1, "t"), diff(mu1, "x")
-    mu1_xx = diff(mu1_x, "x")
-    mu2_t, mu2_x = diff(mu2, "t"), diff(mu2, "x")
-    mu2_xx = diff(mu2_x, "x")
+    dmu1, dmu2 = _derivatives(mu1), _derivatives(mu2)
     residuals = []
     for v, u in pairs:
-        tau, phi, pt = v.tau, v.phi, v.phitilde
-        pt2 = mul(pt, pt)
-        rho_c = substitute(u.tau, comp)
-        psi_c = substitute(u.phi, comp)
-        psit_c = substitute(u.phitilde, comp)
-        residuals.append(simplify(add(
-            rho_c, mul(-1, mul(mu1_t, tau)), mul(-1, mul(mu1_x, phi)),
-            mul(-1, mul(HALF, mu1_xx, pt2)))))
-        residuals.append(simplify(mul(mu1_x, pt)))
-        residuals.append(simplify(add(
-            psi_c, mul(-1, mul(mu2_t, tau)), mul(-1, mul(mu2_x, phi)),
-            mul(-1, mul(HALF, mu2_xx, pt2)))))
-        residuals.append(simplify(add(psit_c, mul(-1, mul(mu2_x, pt)))))
-    return DeterminingSystem(tuple(residuals), unknowns=tuple(unknowns))
+        rho, psi, psit = (substitute(e, comp) for e in (u.tau, u.phi, u.phitilde))
+        residuals += [
+            add(rho, *map(negate, _ito_terms(dmu1, v.tau, v.phi, v.phitilde))),
+            mul(dmu1[1], v.phitilde),
+            add(psi, *map(negate, _ito_terms(dmu2, v.tau, v.phi, v.phitilde))),
+            add(psit, negate(mul(dmu2[1], v.phitilde)))]
+    return DeterminingSystem(tuple(map(simplify, residuals)), unknowns=tuple(unknowns))
 
 
 def _system_max_residual(pairs, tmap: TransformMap, points, params) -> float:
@@ -149,7 +141,8 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
     minimum-coefficient-norm gauge (or a pinned value mu(t0, x0) = (v1, v2)
     via `pin`); non-affine targets fall back to Gauss-Newton from 32
     starts.  The returned map is re-verified on fresh
-    points (max |residual| <= VERIFY_TOL) and checked for monotone mu1.
+    points (max |residual| <= VERIFY_TOL) and checked for monotone mu1 and
+    for mu2_x of one sign (an x-invertible mu2) at those points.
     """
     params = dict(params or {})
     mu1_basis = tuple(mu1_basis)
@@ -209,6 +202,10 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
     if not _monotone_mu1(tmap.mu1, window, params):
         raise TransformError(
             "mu1 is not strictly increasing on the verification window")
+    mu2_x = evaluate_points([diff(tmap.mu2, "x")], fresh, params)
+    if not (np.all(mu2_x > 0.0) or np.all(mu2_x < 0.0)):
+        raise TransformError("mu2 is not invertible in x: mu2_x is zero or "
+                             "changes sign at the verification points")
     return tmap
 
 

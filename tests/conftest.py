@@ -140,6 +140,63 @@ def match_basis_all_restarts(src, tgt, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# determining rows and map conditions with Ito's formula written out per row
+# (reference trees for determining.build_system and
+# transform.transformation_system)
+
+def _ito_written_out(u, w):
+    if w.is_zero():
+        return ex.ZERO
+    return ex.mul(ex.HALF, ex.diff(ex.diff(u, "x"), "x"), w, w)
+
+
+def build_system_written_out(sde, v, mode):
+    """determining.build_system as it was written before its rows shared
+    one Ito helper; returns the residual tuple."""
+    diff, mul, HALF, _ito = ex.diff, ex.mul, ex.HALF, _ito_written_out
+    f, g = sde.drift, sde.diffusion
+    tau, phi, pt = v.tau, v.phi, v.phitilde
+    rows = [mul(diff(f, "t"), tau) + mul(diff(tau, "t"), f) + mul(diff(f, "x"), phi)
+            + _ito(f, pt) - diff(phi, "t") - mul(diff(phi, "x"), f) - _ito(phi, g)]
+    if mode != "classical":
+        rows.append(mul(diff(f, "x"), pt) - diff(pt, "t") - mul(diff(pt, "x"), f)
+                    - _ito(pt, g))
+    if mode != "det-ode":
+        rows.append(mul(diff(g, "t"), tau) + mul(HALF, diff(tau, "t"), g)
+                    + mul(diff(g, "x"), phi) + _ito(g, pt) - mul(diff(phi, "x"), g))
+    if mode == "stochastic":
+        rows.append(mul(diff(g, "x"), pt) - mul(diff(pt, "x"), g))
+    return tuple(ex.simplify(r) for r in rows)
+
+
+def transformation_system_written_out(pairs, mu1, mu2):
+    """transform.transformation_system as it was written before it shared
+    build_system's Ito helper; returns the residual tuple."""
+    diff, mul, add, HALF, simplify = ex.diff, ex.mul, ex.add, ex.HALF, ex.simplify
+    comp = {"s": mu1, "y": mu2}
+    mu1_t, mu1_x = diff(mu1, "t"), diff(mu1, "x")
+    mu1_xx = diff(mu1_x, "x")
+    mu2_t, mu2_x = diff(mu2, "t"), diff(mu2, "x")
+    mu2_xx = diff(mu2_x, "x")
+    residuals = []
+    for v, u in pairs:
+        tau, phi, pt = v.tau, v.phi, v.phitilde
+        pt2 = mul(pt, pt)
+        rho_c = ex.substitute(u.tau, comp)
+        psi_c = ex.substitute(u.phi, comp)
+        psit_c = ex.substitute(u.phitilde, comp)
+        residuals.append(simplify(add(
+            rho_c, mul(-1, mul(mu1_t, tau)), mul(-1, mul(mu1_x, phi)),
+            mul(-1, mul(HALF, mu1_xx, pt2)))))
+        residuals.append(simplify(mul(mu1_x, pt)))
+        residuals.append(simplify(add(
+            psi_c, mul(-1, mul(mu2_t, tau)), mul(-1, mul(mu2_x, phi)),
+            mul(-1, mul(HALF, mu2_xx, pt2)))))
+        residuals.append(simplify(add(psit_c, mul(-1, mul(mu2_x, pt)))))
+    return tuple(residuals)
+
+
+# ---------------------------------------------------------------------------
 # sympy bridge (independent symbolic oracle)
 
 def to_sympy(e):

@@ -211,6 +211,12 @@ class TestSymmetries:
 
 
 class TestBrackets:
+    def test_no_deterministic_generator_exit_3(self, capsys, tmp_path):
+        path = tiny_problem(tmp_path, "phitilde = poly(x;0)")
+        code, out, err = run(capsys, "brackets", path)
+        assert code == 3 and out == ""
+        assert err == "error: no deterministic generators to bracket\n"
+
     def test_langevin_affine_table(self, capsys):
         # langevin.prob computes the X3 coefficient within rounding of 1
         for name in ("langevin-affine.prob", "langevin.prob"):
@@ -229,7 +235,29 @@ class TestBrackets:
         assert "c.3.1.3 = 1" in out
 
 
+# Brownian motion with a one-entry dictionary: the algebra {d/dt}, or (with
+# only a phitilde entry) no deterministic generator at all
+def tiny_problem(tmp_path, ansatz):
+    path = tmp_path / "tiny.prob"
+    path.write_text("[sde]\ndrift = 0\ndiffusion = 1\n\n[ansatz]\n" + ansatz
+                    + "\n\n[map.ansatz]\nmu1 = poly(t;1)\nmu2 = poly(x;1)\n")
+    return str(path)
+
+
 class TestMatch:
+    def test_one_dimensional_algebra_matches(self, capsys, tmp_path):
+        path = tiny_problem(tmp_path, "tau = poly(t;0)")
+        code, out, err = run(capsys, "--output", "kv", "match", path, path)
+        assert code == 0 and err == ""
+        assert out == "match.matched = true\nmatch.residual = 0.000e+00\nmatch.A.1 = 1\n"
+
+    @pytest.mark.parametrize("command", ["match", "find-map"])
+    def test_empty_algebra_exit_3(self, capsys, tmp_path, command):
+        path = tiny_problem(tmp_path, "phitilde = poly(x;0)")
+        code, out, err = run(capsys, command, path, path)
+        assert code == 3 and out == ""
+        assert err == "error: no deterministic generators to bracket\n"
+
     def test_langevin_to_brownian(self, capsys):
         code, out, _ = run(capsys, "match", prob("langevin-affine.prob"),
                            prob("brownian.prob"))
@@ -263,6 +291,13 @@ class TestFindMap:
         assert "mu1 = t" in out
         assert "mu2 = x" in out
         assert "pass = true" in out
+
+    def test_map_not_invertible_in_x_exit_3(self, capsys, tmp_path):
+        # the pair (d/dt, d/ds) leaves mu2 free; its minimum-norm gauge is 0
+        path = tiny_problem(tmp_path, "tau = poly(t;0)")
+        code, out, err = run(capsys, "--paths", "300", "find-map", path, path)
+        assert code == 3 and out == ""
+        assert err.startswith("error: mu2 is not invertible in x")
 
     def test_missing_map_ansatz_exit_2(self, capsys, tmp_path):
         text = open(prob("langevin-affine.prob")).read()

@@ -1,0 +1,139 @@
+"""Tree identity of the determining rows and map conditions, which share one
+Ito helper, with the same rows written out term by term.
+
+`build_system_written_out` and `transformation_system_written_out` in
+conftest.py build every row with its own derivatives and negations.  The
+production builders must return equal (==) residual trees, so that the
+linearization, the solver and the printed output see the same expressions.
+"""
+
+import itertools
+import os
+
+import numpy as np
+import pytest
+
+from sdesym import ansatz
+from sdesym.ansatz import solve_symmetries
+from sdesym.determining import Sde, VectorField, build_system
+from sdesym.expr import add, mul, param, parse
+from sdesym.problem import load_problem
+from sdesym.transform import PairedSymmetries, transformation_system
+
+from conftest import build_system_written_out, transformation_system_written_out
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+P = ("a", "b", "alpha", "beta", "_c0", "_c1", "_c2", "_c3", "_c4", "_c5")
+
+
+def p(s):
+    return parse(s, parameters=P)
+
+
+SDES = {
+    "brownian": ("0", "1"),
+    "langevin": ("a*x", "b"),
+    "gbm": ("a*x", "b*x"),
+    "xlogx": ("x*log(x)", "x"),
+    "sinh": ("x/2", "(1 + x^2)^(1/2)"),
+    "float": ("0.3*x - 1.5", "0.7*x"),
+    "axinv": ("1/x", "x^(1/2)"),
+    "t-dependent": ("x^3 - x", "1 + t"),
+    "ode-x2": ("x^2", "0"),
+    "ode-decay": ("exp(-t)*x + 0.5", "0"),
+}
+TAUS = ("0", "1", "2*t", "_c0 + _c1*t", "exp(2*a*t)/a")
+PHIS = ("0", "1", "x", "x*log(x)", "exp(a*t)*x", "_c2*x + _c3*t*x + _c4",
+        "(1 + x^2)^(1/2)", "0.5*x*t", "_c5*exp(2*t)*x - 0.25*x")
+
+
+def fields(g):
+    """(field, mode) over TAUS x PHIS x PHIS in every mode the SDE admits."""
+    for tau, phi, pt in itertools.product(TAUS, PHIS, PHIS):
+        v = VectorField(p(tau), p(phi), p(pt))
+        yield v, "stochastic"
+        if pt == "0":
+            yield v, "classical"
+        if g == "0":
+            yield v, "det-ode"
+
+
+@pytest.mark.parametrize("name", sorted(SDES))
+def test_build_system_trees_equal(name):
+    f, g = SDES[name]
+    sde = Sde(p(f), p(g))
+    count = 0
+    for v, mode in fields(g):
+        assert build_system(sde, v, mode).residuals == \
+            build_system_written_out(sde, v, mode), (name, str(v), mode)
+        count += 1
+    n = len(TAUS) * len(PHIS)
+    assert count == n * (len(PHIS) + 1) + (n * len(PHIS) if g == "0" else 0)
+
+
+# source and target coefficients, maps and map dictionaries of the pair sets
+COEFFS = ("0", "1", "2*t", "x", "x/2", "exp(-alpha*t)", "x*exp(alpha*t)",
+          "-alpha*x + beta", "0.5*x", "t^2", "(1 + x^2)^(1/2)", "x*log(x)",
+          "-1/2*exp(-2*alpha*t)")
+MAPS = ("t", "x", "x*exp(-alpha*t)", "-1/2*exp(-2*alpha*t)", "log(x)",
+        "0.3*t + x^2", "t*x")
+BASES = (("1", "t"), ("1", "x", "x^2"), ("1", "x", "t", "t*x"),
+         ("exp(-2*alpha*t)", "1"), ("1", "x*exp(-alpha*t)", "exp(-alpha*t)"))
+
+
+def pair_set(seed):
+    """Seeded pairs and a map: concrete, or a dictionary combination with
+    one coefficient symbol per entry as solve_map builds it."""
+    rng = np.random.default_rng(seed)
+
+    def coeff(stochastic=True):
+        if stochastic and rng.random() < 0.5:
+            return p("0")
+        return p(COEFFS[rng.integers(len(COEFFS))])
+
+    def field():
+        return VectorField(coeff(False), coeff(False), coeff())
+
+    pairs = PairedSymmetries.from_tx(
+        [(field(), field()) for _ in range(rng.integers(1, 4))])
+    if rng.random() < 0.5:
+        return pairs, p(MAPS[rng.integers(len(MAPS))]), p(MAPS[rng.integers(len(MAPS))])
+    b1, b2 = (BASES[k] for k in rng.integers(len(BASES), size=2))
+    names = [f"_c{i}" for i in range(len(b1) + len(b2))]
+    mu1 = add(*[mul(param(n), p(e)) for n, e in zip(names, b1)])
+    mu2 = add(*[mul(param(n), p(e)) for n, e in zip(names[len(b1):], b2)])
+    return pairs, mu1, mu2
+
+
+@pytest.mark.parametrize("start", range(0, 1000, 250))
+def test_transformation_system_trees_equal(start):
+    for seed in range(start, start + 250):
+        pairs, mu1, mu2 = pair_set(seed)
+        assert transformation_system(pairs, mu1, mu2).residuals == \
+            transformation_system_written_out(pairs, mu1, mu2), seed
+
+
+@pytest.mark.parametrize("problem, mode, directions", [
+    ("tests/golden/xlogx.prob", "stochastic", 1),
+    ("tests/golden/ode-x2.prob", "det-ode", 2),
+])
+def test_q_device_builds_no_system_per_direction(monkeypatch, problem, mode,
+                                                 directions):
+    # stage 1 and stage 2 build one system each; every other build is the
+    # re-verification of a candidate in max_residual
+    pf = load_problem(os.path.join(ROOT, problem))
+    calls = {"build_system": 0, "max_residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ansatz, "build_system",
+                        counting("build_system", ansatz.build_system))
+    monkeypatch.setattr(ansatz, "max_residual",
+                        counting("max_residual", ansatz.max_residual))
+    basis = solve_symmetries(pf.require_sde(), pf.ansatz, mode)
+    assert basis.stage1_dimension == directions
+    assert calls["build_system"] - calls["max_residual"] == 2

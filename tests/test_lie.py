@@ -133,6 +133,10 @@ class TestStructureConstants:
         assert sc.jacobi_violation() < 1e-9
         assert np.max(np.abs(sc.c + sc.c.transpose(0, 2, 1))) < 1e-12
 
+    def test_empty_basis_refused(self):
+        with pytest.raises(LieError, match="no deterministic generators"):
+            structure_constants([], sample_points(16, seed=6), {})
+
     def test_non_closure_reported(self):
         pts = sample_points(24, seed=8)
         basis = [VectorField(tau=p("1")), VectorField(p("t^2"))]
@@ -177,6 +181,13 @@ class TestMatchBasis:
         m = match_basis(sc, sc, seed=0)
         assert m.matched
         assert np.max(np.abs(m.A - np.eye(3))) < 1e-8
+
+    def test_one_dimensional_algebra_matches(self):
+        # a 1 x 1 table has no entries: A = [[1]] matches with residual 0
+        one = StructureConstants(np.zeros((1, 1, 1)), 1)
+        m = match_basis(one, one, seed=0)
+        assert m.matched and m.residual == 0.0
+        assert np.array_equal(m.A, np.eye(1))
 
     def test_dimension_mismatch(self):
         sc, tc, _ = _tables(1.0)

@@ -1,4 +1,4 @@
-"""Bit identity of the step-major simulation and the blocked flow transport.
+"""Bit identity of the step-major simulation and the flow transport.
 
 The reference implementations below are the straightforward loops: one
 Euler-Maruyama step over a (n_paths, K+1) array per grid time, and one RK4
@@ -19,7 +19,6 @@ import pytest
 from sdesym.determining import Sde, VectorField
 from sdesym.expr import compile_fn, diff, parse, simplify
 from sdesym.numeric import (
-    _FLOW_BLOCK_CELLS,
     FRESH_SEED_OFFSET,
     KS_P_THRESHOLD,
     Checkpoint,
@@ -227,10 +226,8 @@ SDES = {
     "overflowing": Sde(p("x^2"), p("1")),     # reaches inf near t = 2
 }
 K_LONG = 1000
-# path counts around _FLOW_BLOCK_CELLS // (K_LONG+1); on the step-major
-# layout, BLOCK_ROWS + 1 and 2000 paths end in a partial block of grid times
-BLOCK_ROWS = _FLOW_BLOCK_CELLS // (K_LONG + 1)
-PATH_COUNTS = (1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2000)
+# path counts of one lone path, a few dozen and the CLI's ensemble
+PATH_COUNTS = (1, 31, 33, 2000)
 
 FIELDS = {
     "scaling": VectorField(p("2*t"), p("x")),          # phi = x: identity
@@ -282,7 +279,7 @@ class TestSimulationOracle:
 class TestFlowOracle:
     @pytest.mark.parametrize("name, n_paths, eps", FLOW_CASES)
     def test_flow_integrate_bit_identical(self, name, n_paths, eps):
-        K = K_LONG if n_paths in (2000, BLOCK_ROWS + 1) else 200
+        K = K_LONG if n_paths in (2000, 33) else 200
         times, X, _ = _simulate_uniform(BROWNIAN, 0.5, 1e-3, K, n_paths, 7,
                                         range(K + 1))
         params = {"a": 1.0}
@@ -345,8 +342,7 @@ class TestNonFiniteTimes:
                               [0])
 
 
-# the verifiers' ensembles: fewer cells than the CLI's 2000 x 1000, still
-# many transport blocks
+# the verifiers' ensembles: fewer cells than the CLI's 2000 x 1000
 VERIFY_SIZE = {"h": 2e-3, "K": 400, "n_paths": 700}
 VERIFY_SEEDS = (1, 2, 3, 7, 42)
 LANGEVIN = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})

@@ -128,12 +128,24 @@ class TestSolveMap:
         assert simplify(tmap.mu2) == parse("x")
 
     def test_translation_only_minimum_norm(self):
-        # single pair (d/dt, d/ds): mu1 = t + c family; minimum norm picks c=0
+        # pairs (d/dt, d/ds) and (d/dx, d/dy): mu = (t + c1, x + c2);
+        # minimum norm picks c1 = c2 = 0
         pairs = PairedSymmetries.from_tx(
-            [(VectorField(tau=p("1")), VectorField(tau=p("1")))])
+            [(VectorField(tau=p("1")), VectorField(tau=p("1"))),
+             (VectorField(phi=p("1")), VectorField(phi=p("1")))])
         tmap = solve_map(pairs, (p("1"), p("t")), (p("1"), p("x")),
                          params={}, window=(0.1, 1.0, 0.5, 2.0))
         assert simplify(tmap.mu1) == parse("t")
+        assert simplify(tmap.mu2) == parse("x")
+
+    def test_map_constant_in_x_refused(self):
+        # (d/dt, d/ds) alone leaves mu2 = c1 + c2*x free: the minimum norm
+        # gauge gives mu2 = 0, which no x-invertible map has
+        pairs = PairedSymmetries.from_tx(
+            [(VectorField(tau=p("1")), VectorField(tau=p("1")))])
+        with pytest.raises(TransformError, match="mu2 is not invertible in x"):
+            solve_map(pairs, (p("1"), p("t")), (p("1"), p("x")),
+                      params={}, window=(0.1, 1.0, 0.5, 2.0))
 
     def test_pinned_value(self):
         pairs = PairedSymmetries.from_tx(
