@@ -104,10 +104,11 @@ class DeterminingSystem:
     unknowns: tuple = ()
 
 
-def _derivatives(u: Expr) -> tuple:
-    """(u_t, u_x, u_xx): the derivatives of u that Ito's formula reads."""
+def _derivatives(u: Expr, second: bool = True) -> tuple:
+    """(u_t, u_x, u_xx): the derivatives of u that Ito's formula reads.
+    u_xx is None unless `second`: no term along a zero noise w reads it."""
     u_x = diff(u, "x")
-    return diff(u, "t"), u_x, diff(u_x, "x")
+    return diff(u, "t"), u_x, diff(u_x, "x") if second else None
 
 
 def _ito_terms(du: tuple, tau: Expr, phi: Expr, w: Expr) -> list:
@@ -147,13 +148,16 @@ def build_system(sde: Sde, v: VectorField, mode: str) -> DeterminingSystem:
         raise DeterminingError("deterministic-ODE system requires g == 0")
     f, g = sde.drift, sde.diffusion
     tau, phi, pt = v.tau, v.phi, v.phitilde
-    df, dg, dphi, dpt = map(_derivatives, (f, g, phi, pt))
+    along_pt, along_g = not pt.is_zero(), not g.is_zero()
+    df, dphi = _derivatives(f, along_pt), _derivatives(phi, along_g)
     tau_t = diff(tau, "t")
     rows = [add(*_ito_terms(df, tau, phi, pt), mul(tau_t, f),
                 *map(negate, _ito_terms(dphi, ONE, f, g)))]
     if mode != "classical":
+        dpt = _derivatives(pt, along_g)
         rows.append(add(mul(df[1], pt), *map(negate, _ito_terms(dpt, ONE, f, g))))
     if mode != "det-ode":
+        dg = _derivatives(g, along_pt)
         rows.append(add(*_ito_terms(dg, tau, phi, pt), mul(HALF, tau_t, g),
                         negate(mul(dphi[1], g))))
     if mode == "stochastic":

@@ -6,7 +6,9 @@ quotients, exp, log, and negation.  Supports parsing, printing, exact
 differentiation, simultaneous substitution, vectorized numeric evaluation
 (`compile_fn`), and rule-based simplification to a canonical form.
 
-Trees are immutable and hashable; all operations are pure functions.
+Trees are immutable and hashable; all operations are pure functions.  Each
+node carries its canonical form and its sort key once they are computed;
+there is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -63,19 +65,32 @@ class UnboundSymbolError(EvalError):
         self.name = name
 
 
-class Expr:
-    """Immutable expression tree node."""
+_set = object.__setattr__
 
-    __slots__ = ("kind", "children", "value", "name", "_hash")
+
+class Expr:
+    """Immutable expression tree node.
+
+    Two private slots keep work done on the node with the node, never in
+    a table keyed on trees (a constant 1 equals 1.0 and hashes alike, so
+    a table would hand one's result to the other): `_simplified` holds
+    `simplify`'s result once computed, or True when the node is its own
+    canonical form (the node itself would make a reference cycle), and
+    `_sort_key` its canonical ordering key.
+    """
+
+    __slots__ = ("kind", "children", "value", "name", "_hash",
+                 "_simplified", "_sort_key")
 
     def __init__(self, kind, children=(), value=None, name=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "_hash", hash((kind, self.children, value, name))
-        )
+        children = tuple(children)
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+        _set(self, "value", value)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((kind, children, value, name)))
+        _set(self, "_simplified", None)
+        _set(self, "_sort_key", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
@@ -485,12 +500,17 @@ _RANK = {CONST: 0, PARAM: 1, VAR: 2, POWER: 3, EXP: 4, LOG: 5,
 
 
 def _key(e: Expr):
-    k = e.kind
-    if k == CONST:
-        return (0, float(e.value), str(e.value))
-    if k in (PARAM, VAR):
-        return (_RANK[k], e.name)
-    return (_RANK[k],) + tuple(_key(c) for c in e.children)
+    key = e._sort_key
+    if key is None:
+        k = e.kind
+        if k == CONST:
+            key = (0, float(e.value), str(e.value))
+        elif k in (PARAM, VAR):
+            key = (_RANK[k], e.name)
+        else:
+            key = (_RANK[k],) + tuple(map(_key, e.children))
+        _set(e, "_sort_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +521,38 @@ def simplify(e: Expr) -> Expr:
 
     Rules: constant folding, 0/1 identities, flattening and canonical
     ordering of sums/products, collection of identical terms and factors,
-    exp/log cancellation.  Idempotent; semantics-preserving.
+    exp/log cancellation.  Idempotent; semantics-preserving.  The result
+    is kept on e, and every node a pass leaves unchanged is marked as its
+    own canonical form, so no tree is rewritten twice.
     """
+    cur = e._simplified
+    if cur is not None:
+        return e if cur is True else cur
     cur = e
     for _ in range(SIMPLIFY_MAX_PASSES):
         nxt = _simp(cur)
         if nxt == cur:
-            return cur
+            break
         cur = nxt
+    if cur is not e:
+        _set(e, "_simplified", cur)
     return cur
 
 
 def _simp(e: Expr) -> Expr:
-    k = e.kind
-    if k in _ATOMS:
+    """One rewriting pass; a node it leaves unchanged is marked canonical
+    and returned as it is from then on."""
+    if e._simplified is True or e.kind in _ATOMS:
         return e
+    out = _simp_node(e)
+    if out == e:
+        _set(e, "_simplified", True)
+        return e
+    return out
+
+
+def _simp_node(e: Expr) -> Expr:
+    k = e.kind
     if k == SUM:
         return _simp_sum([_simp(c) for c in e.children])
     if k == PRODUCT:
@@ -567,7 +604,7 @@ def _coeff_key(term: Expr):
         c, key = _coeff_key(term.children[0])
         return -c, key
     if term.kind == PRODUCT:
-        coeff = Fraction(1)
+        coeff = 1
         rest = []
         for f in term.children:
             if f.kind == CONST:
@@ -578,7 +615,7 @@ def _coeff_key(term: Expr):
             return coeff, None
         key = rest[0] if len(rest) == 1 else Expr(PRODUCT, rest)
         return coeff, key
-    return Fraction(1), term
+    return 1, term
 
 
 def _make_term(coeff, key: Expr) -> Expr:
@@ -599,13 +636,13 @@ def _simp_sum(children) -> Expr:
         else:
             flat.append(c)
     acc: dict = {}
-    const_part = Fraction(0)
+    const_part = 0
     for term in flat:
         coeff, key = _coeff_key(term)
         if key is None:
             const_part = const_part + coeff
         else:
-            acc[key] = acc.get(key, Fraction(0)) + coeff
+            acc[key] = acc.get(key, 0) + coeff
     terms = []
     if const_part != 0:
         terms.append(const(const_part))
@@ -623,7 +660,7 @@ def _simp_sum(children) -> Expr:
 def _simp_product(children) -> Expr:
     flat = []
     stack = list(reversed(children))
-    coeff = Fraction(1)
+    coeff = 1  # an int until it meets a constant; const() makes it a Fraction
     while stack:
         c = stack.pop()
         if c.kind == PRODUCT:

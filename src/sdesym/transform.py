@@ -108,7 +108,8 @@ def transformation_system(pairs: PairedSymmetries, mu1: Expr, mu2: Expr,
     """Residual rows of the map conditions for every pair: the target's
     coefficients at mu against Ito's formula for mu along the source field."""
     comp = {"s": mu1, "y": mu2}
-    dmu1, dmu2 = _derivatives(mu1), _derivatives(mu2)
+    second = any(not v.phitilde.is_zero() for v, _ in pairs)
+    dmu1, dmu2 = _derivatives(mu1, second), _derivatives(mu2, second)
     residuals = []
     for v, u in pairs:
         rho, psi, psit = (substitute(e, comp) for e in (u.tau, u.phi, u.phitilde))

@@ -528,10 +528,12 @@ GOLDEN_RUNS = [
        (*out, command, prob("axinv.prob"), ABELIAN), 4, NOT_MATCHED)
       for command in ("match", "find-map")
       for suffix, out in (("", ()), ("-kv", ("--output", "kv")))],
-    # stage-1 directions that do not decouple: each goes through the q-device
+    # stage-1 directions that do not decouple: each goes through the q-device;
+    # brownian-poly4 is the largest system the symbolic benchmark solves
     *[(f"symmetries-{name}-{mode}{suffix}",
        (*out, "--mode", mode, "symmetries", os.path.join(GOLDEN, f"{name}.prob")), 0, "")
-      for name, mode in (("xlogx", "stochastic"), ("ode-x2", "det-ode"))
+      for name, mode in (("xlogx", "stochastic"), ("ode-x2", "det-ode"),
+                         ("brownian-poly4", "stochastic"))
       for suffix, out in (("", ()), ("-kv", ("--output", "kv")))],
 ]
 
