@@ -261,29 +261,17 @@ def _rref(vectors) -> list:
 
 
 def _nice_scale(vec: np.ndarray) -> np.ndarray:
-    """Rescale so entries become small integers if a scaling by 1..48 allows."""
-    v = vec.copy()
-    nz = np.abs(v) > 0
-    if not np.any(nz):
-        return v
+    """Rescale so entries become small integers if a scaling by 1..48 allows.
+
+    `vec` is an `_rref` row, whose first nonzero entry is 1; the rescaled
+    row keeps it first and positive."""
     for m in range(1, 49):
-        w = v * m
+        w = vec * m
         r = np.round(w)
-        if np.all(np.abs(w - r) <= 1e-7 * max(1.0, float(np.max(np.abs(w))))) \
-                and np.any(r != 0):
+        if np.all(np.abs(w - r) <= 1e-7 * max(1.0, float(np.max(np.abs(w))))):
             ints = r.astype(int)
-            g = 0
-            for val in ints:
-                g = math.gcd(g, abs(int(val)))
-            if g > 0:
-                ints = ints // g
-            out = ints.astype(float)
-            first = out[np.abs(out) > 0][0]
-            if first < 0:
-                out = -out
-            return out
-    first = v[nz][0]
-    return v / first
+            return (ints // math.gcd(*map(int, ints))).astype(float)
+    return vec
 
 
 def _coeff_const(v: float) -> Expr:

@@ -1,10 +1,15 @@
 """Minimal symbolic kernel for scalar expressions.
 
-Expression trees over a closed alphabet of node kinds: rational/float
-constants, named variables and parameters, n-ary sums and products, powers,
-quotients, exp, log, and negation.  Supports parsing, printing, exact
-differentiation, simultaneous substitution, vectorized numeric evaluation
-(`compile_fn`), and rule-based simplification to a canonical form.
+Expression trees over a closed alphabet of node kinds: constants, named
+variables and parameters, n-ary sums and products, powers, quotients, exp,
+log, and negation.  Supports parsing, printing, exact differentiation,
+simultaneous substitution, vectorized numeric evaluation (`compile_fn`), and
+rule-based simplification to a canonical form.
+
+Every numeric literal, and every `param` value of a problem file, is an
+exact rational (`0.3` is 3/10).  A float constant enters a tree only as a
+solver coefficient that no rational snap accepts (`ansatz._coeff_const`),
+and `==` tells it from a rational of equal value: 1.0 is not 1.
 
 Trees are immutable and hashable; all operations are pure functions.  Each
 node carries its canonical form and its sort key once they are computed;
@@ -72,11 +77,10 @@ class Expr:
     """Immutable expression tree node.
 
     Two private slots keep work done on the node with the node, never in
-    a table keyed on trees (a constant 1 equals 1.0 and hashes alike, so
-    a table would hand one's result to the other): `_simplified` holds
-    `simplify`'s result once computed, or True when the node is its own
-    canonical form (the node itself would make a reference cycle), and
-    `_sort_key` its canonical ordering key.
+    a table keyed on trees (it would keep every tree it saw alive for the
+    process): `_simplified` holds `simplify`'s result once computed, or
+    True when the node is its own canonical form (the node itself would
+    make a reference cycle), and `_sort_key` its canonical ordering key.
     """
 
     __slots__ = ("kind", "children", "value", "name", "_hash",
@@ -107,6 +111,7 @@ class Expr:
             self._hash == other._hash
             and self.kind == other.kind
             and self.value == other.value
+            and type(self.value) is type(other.value)
             and self.name == other.name
             and self.children == other.children
         )
@@ -341,6 +346,14 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
+def _to_float(v) -> float:
+    """float(v), or +-inf for a rational beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def compile_fn(e: Expr, names: Sequence[str],
                bindings: Mapping[str, float] | None = None) -> Callable:
     """Compile e into a numpy-vectorized callable of positional arrays.
@@ -359,13 +372,13 @@ def compile_fn(e: Expr, names: Sequence[str],
         runtime argument."""
         k = node.kind
         if k == CONST:
-            return float(node.value)
+            return _to_float(node.value)
         if k in (VAR, PARAM):
             if node.name in index:
                 i = index[node.name]
                 return lambda args: args[i]
             if node.name in bindings:
-                return float(bindings[node.name])
+                return _to_float(bindings[node.name])
             raise UnboundSymbolError(node.name)
         parts = [build(c) for c in node.children]
         if any(map(callable, parts)):
@@ -504,7 +517,7 @@ def _key(e: Expr):
     if key is None:
         k = e.kind
         if k == CONST:
-            key = (0, float(e.value), str(e.value))
+            key = (0, _to_float(e.value), str(e.value))
         elif k in (PARAM, VAR):
             key = (_RANK[k], e.name)
         else:
@@ -563,9 +576,7 @@ def _simp_node(e: Expr) -> Expr:
         a = _simp(e.children[0])
         b = _simp(e.children[1])
         if a.kind == CONST and b.kind == CONST and b.value != 0:
-            if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-                return const(a.value / b.value)
-            return const(float(a.value) / float(b.value))
+            return const(a.value / b.value)
         return _simp_product([a, _simp_power(b, const(-1))])
     if k == NEG:
         u = _simp(e.children[0])
@@ -578,11 +589,6 @@ def _simp_node(e: Expr) -> Expr:
             return ONE
         if u.kind == LOG:
             return u.children[0]
-        if u.kind == CONST and isinstance(u.value, float):
-            try:
-                return const(math.exp(u.value))
-            except OverflowError:
-                pass  # left unfolded: evaluation reports the overflow
         return exp(u)
     if k == LOG:
         u = _simp(e.children[0])
@@ -590,8 +596,6 @@ def _simp_node(e: Expr) -> Expr:
             return ZERO
         if u.kind == EXP:
             return u.children[0]
-        if u.kind == CONST and isinstance(u.value, float) and u.value > 0:
-            return const(math.log(u.value))
         return log(u)
     raise ExprError(f"cannot simplify node kind {k!r}")
 
@@ -732,22 +736,15 @@ def _simp_power(b: Expr, p: Expr) -> Expr:
     if b.is_one():
         return ONE
     if b.is_zero():
-        if p.kind == CONST and float(p.value) > 0:
+        if p.kind == CONST and p.value > 0:
             return ZERO
         return Expr(POWER, (b, p))
-    if b.kind == CONST and p.kind == CONST:
-        bv, pv = b.value, p.value
+    if b.kind == CONST and _is_int_const(p):
+        # folded only to a value in the float range
         try:
-            if _is_int_const(p):
-                n = int(pv)
-                if isinstance(bv, Fraction):
-                    if bv != 0 or n >= 0:
-                        return const(bv ** n)
-                else:
-                    return const(float(bv) ** n)
-            bf, pf = float(bv), float(pv)
-            if bf > 0:
-                return const(bf ** pf)
+            v = b.value ** int(p.value)
+            if math.isfinite(_to_float(v)):
+                return const(v)
         except OverflowError:
             pass  # left unfolded: evaluation reports the overflow
         return Expr(POWER, (b, p))
@@ -786,10 +783,10 @@ def _split_negative(term: Expr):
     """For sum printing: return (True, positive-part) when term is negative."""
     if term.kind == NEG:
         return True, term.children[0]
-    if term.kind == CONST and float(term.value) < 0:
+    if term.kind == CONST and term.value < 0:
         return True, const(-term.value)
     if term.kind == PRODUCT and term.children[0].kind == CONST \
-            and float(term.children[0].value) < 0:
+            and term.children[0].value < 0:
         head = const(-term.children[0].value)
         rest = term.children[1:]
         if head.is_one():
@@ -801,7 +798,8 @@ def _split_negative(term: Expr):
 
 
 def to_str(e: Expr) -> str:
-    """Render in the input grammar; parse(to_str(e)) reproduces the tree."""
+    """Render in the input grammar; parse(to_str(e)) reproduces the tree,
+    with each float constant as the exact rational of its repr."""
     k = e.kind
     if k == CONST:
         v = e.value
@@ -843,7 +841,7 @@ def to_str(e: Expr) -> str:
         b, p = e.children
         sb = to_str(b)
         b_bare = b.kind in (VAR, PARAM, EXP, LOG) or (
-            b.kind == CONST and not _const_is_ratio(b) and float(b.value) >= 0)
+            b.kind == CONST and not _const_is_ratio(b) and b.value >= 0)
         if not b_bare:
             sb = f"({sb})"
         sp = to_str(p)
@@ -871,9 +869,11 @@ def to_str(e: Expr) -> str:
 # factor   := '-' factor | base ['^' factor]
 # base     := number | ident | '(' expr ')' | 'exp(' expr ')' | 'log(' expr ')'
 #
-# Integer and integer/integer literals become exact rationals; decimal or
-# scientific literals become floats.  Unary minus on a literal folds into
-# the constant.  Identifiers must be declared variables or parameters.
+# Every number literal, integer, decimal or scientific, becomes the exact
+# rational of its text (`0.3` is 3/10, `1e-3` is 1/1000), and so does an
+# integer/integer ratio; a literal beyond the float range is refused.  Unary
+# minus on a literal folds into the constant.  Identifiers must be declared
+# variables or parameters.
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -893,11 +893,9 @@ class _Tokenizer:
                 continue
             if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
                 j = i
-                isfloat = False
                 while j < n and text[j].isdecimal():
                     j += 1
                 if j < n and text[j] == ".":
-                    isfloat = True
                     j += 1
                     while j < n and text[j].isdecimal():
                         j += 1
@@ -906,26 +904,25 @@ class _Tokenizer:
                     if k < n and text[k] in "+-":
                         k += 1
                     if k < n and text[k].isdecimal():
-                        isfloat = True
                         j = k
                         while j < n and text[j].isdecimal():
                             j += 1
-                self.tokens.append(("num", text[i:j], i, isfloat))
+                self.tokens.append(("num", text[i:j], i))
                 i = j
                 continue
             if ch.isalpha() or ch == "_":
                 j = i
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
-                self.tokens.append(("ident", text[i:j], i, None))
+                self.tokens.append(("ident", text[i:j], i))
                 i = j
                 continue
             if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i, None))
+                self.tokens.append((ch, ch, i))
                 i += 1
                 continue
             raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n, None))
+        self.tokens.append(("end", "", n))
 
     def peek(self):
         return self.tokens[self.i]
@@ -992,10 +989,11 @@ class _Parser:
         return b
 
     def base(self) -> Expr:
-        tok = self.tz.next()
-        kind, text, pos, isfloat = tok
+        kind, text, pos = self.tz.next()
         if kind == "num":
-            return const(float(text) if isfloat else Fraction(int(text)))
+            if not math.isfinite(float(text)):
+                raise ParseError(f"number {text!r} is beyond the float range", pos)
+            return const(Fraction(text))
         if kind == "(":
             e = self.expr()
             closing = self.tz.next()

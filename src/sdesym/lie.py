@@ -240,8 +240,6 @@ def _sparsify(A, S, T, tol):
     order = sorted(((abs(A[i, j]), i, j) for i in range(n) for j in range(n)),
                    key=lambda t: t[0])
     for _, i, j in order:
-        if mask[i, j]:
-            continue
         trial_mask = mask.copy()
         trial_mask[i, j] = True
         trial = A.copy()

@@ -43,12 +43,13 @@ class ParameterClashError(NumericError):
 
 
 def joint_params(src: Sde, tgt: Sde) -> dict:
-    """The parameter values of both SDEs, refusing a name bound to two."""
+    """The parameter values of both SDEs, refusing a name bound to two
+    values that evaluate differently."""
     params = src.bound_params()
     for name, value in tgt.bound_params().items():
-        if params.setdefault(name, value) != value:
-            raise ParameterClashError(f"parameter {name} is {params[name]!r} "
-                                      f"in the source and {value!r} in the target")
+        if float(params.setdefault(name, value)) != float(value):
+            raise ParameterClashError(f"parameter {name} is {float(params[name])!r} "
+                                      f"in the source and {float(value)!r} in the target")
     return params
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -173,10 +174,11 @@ def parse_ansatz_spec(text: str, variables, parameters) -> tuple:
     return tuple(entries)
 
 
-def _param_value(text: str, where: str) -> float:
+def _param_value(text: str, where: str) -> Fraction:
+    """The exact rational of `text`, a number in the float range."""
     try:
-        if math.isfinite(value := float(text)):
-            return value
+        if math.isfinite(float(text)):
+            return Fraction(text)
     except ValueError:
         pass
     raise ProblemError(f"{where} must be a finite number, got {text!r}")

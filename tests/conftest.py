@@ -197,12 +197,40 @@ def transformation_system_written_out(pairs, mu1, mu2):
 
 
 # ---------------------------------------------------------------------------
+# float constants, as the solver makes them for unsnapped coefficients
+
+class _FloatLiteralParser(ex._Parser):
+    def base(self):
+        kind, text, _ = self.tz.peek()
+        if kind == "num" and not text.isdecimal():
+            self.tz.next()
+            return ex.const(float(text))
+        return super().base()
+
+
+def parse_floats(text, variables=ex.DEFAULT_VARIABLES, parameters=()):
+    """parse, except that a decimal or scientific literal becomes the float
+    constant const(float(text)) instead of an exact rational."""
+    return _FloatLiteralParser(text, variables, parameters).parse()
+
+
+def exact_floats(e: ex.Expr) -> ex.Expr:
+    """e with each float constant replaced by the exact rational of its
+    repr: the tree that parse(to_str(e)) gives back."""
+    if e.kind == ex.CONST:
+        return ex.const(Fraction(repr(e.value))) if isinstance(e.value, float) else e
+    if not e.children:
+        return e
+    return ex.Expr(e.kind, [exact_floats(c) for c in e.children], e.value, e.name)
+
+
+# ---------------------------------------------------------------------------
 # simplification without memo (reference trees for expr.simplify)
 
 def _um_key(e: ex.Expr):
     k = e.kind
     if k == ex.CONST:
-        return (0, float(e.value), str(e.value))
+        return (0, ex._to_float(e.value), str(e.value))
     if k in (ex.PARAM, ex.VAR):
         return (ex._RANK[k], e.name)
     return (ex._RANK[k],) + tuple(_um_key(c) for c in e.children)
@@ -236,9 +264,7 @@ def _um_simp(e: ex.Expr) -> ex.Expr:
         a = _um_simp(e.children[0])
         b = _um_simp(e.children[1])
         if a.kind == ex.CONST and b.kind == ex.CONST and b.value != 0:
-            if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-                return ex.const(a.value / b.value)
-            return ex.const(float(a.value) / float(b.value))
+            return ex.const(a.value / b.value)
         return _um_product([a, _um_power(b, ex.const(-1))])
     if k == ex.NEG:
         u = _um_simp(e.children[0])
@@ -251,11 +277,6 @@ def _um_simp(e: ex.Expr) -> ex.Expr:
             return ex.ONE
         if u.kind == ex.LOG:
             return u.children[0]
-        if u.kind == ex.CONST and isinstance(u.value, float):
-            try:
-                return ex.const(math.exp(u.value))
-            except OverflowError:
-                pass  # left unfolded: evaluation reports the overflow
         return ex.exp(u)
     if k == ex.LOG:
         u = _um_simp(e.children[0])
@@ -263,8 +284,6 @@ def _um_simp(e: ex.Expr) -> ex.Expr:
             return ex.ZERO
         if u.kind == ex.EXP:
             return u.children[0]
-        if u.kind == ex.CONST and isinstance(u.value, float) and u.value > 0:
-            return ex.const(math.log(u.value))
         return ex.log(u)
     raise ex.ExprError(f"cannot simplify node kind {k!r}")
 
@@ -400,22 +419,14 @@ def _um_power(b: ex.Expr, p: ex.Expr) -> ex.Expr:
     if b.is_one():
         return ex.ONE
     if b.is_zero():
-        if p.kind == ex.CONST and float(p.value) > 0:
+        if p.kind == ex.CONST and p.value > 0:
             return ex.ZERO
         return ex.Expr(ex.POWER, (b, p))
-    if b.kind == ex.CONST and p.kind == ex.CONST:
-        bv, pv = b.value, p.value
+    if b.kind == ex.CONST and ex._is_int_const(p):
         try:
-            if ex._is_int_const(p):
-                n = int(pv)
-                if isinstance(bv, Fraction):
-                    if bv != 0 or n >= 0:
-                        return ex.const(bv ** n)
-                else:
-                    return ex.const(float(bv) ** n)
-            bf, pf = float(bv), float(pv)
-            if bf > 0:
-                return ex.const(bf ** pf)
+            v = b.value ** int(p.value)
+            if math.isfinite(ex._to_float(v)):
+                return ex.const(v)
         except OverflowError:
             pass  # left unfolded: evaluation reports the overflow
         return ex.Expr(ex.POWER, (b, p))
@@ -434,8 +445,8 @@ def _um_power(b: ex.Expr, p: ex.Expr) -> ex.Expr:
 
 
 def same_tree(a, b) -> bool:
-    """Type-strict tree identity: == plus the type, repr and sign of zero
-    of every constant (== takes the constant 1 for 1.0 and 0.0 for -0.0)."""
+    """Type-strict tree identity: kinds, names and, of every constant, the
+    type and repr, so also the sign of zero (== takes 0.0 for -0.0)."""
     if a is b:
         return True
     if (a.kind, a.name, len(a.children)) != (b.kind, b.name, len(b.children)):

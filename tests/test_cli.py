@@ -180,16 +180,35 @@ class TestSymmetries:
         assert "could not sample" in err
 
     @pytest.mark.parametrize("entry, reason", [("2^3000.0", "overflow in power"),
+                                               ("2^3000", "overflow in power"),
                                                ("exp(1000.0)", "overflow in exp")])
     def test_overflowing_constant_exit_2(self, capsys, tmp_path, entry, reason):
-        # simplify leaves a constant that overflows unfolded; evaluation
-        # then names it, where folding it raised OverflowError
+        # simplify leaves a constant beyond the float range unfolded;
+        # evaluation then names it, where folding it raised OverflowError.
+        # A decimal literal is exact, so 3000.0 prints as 3000.
         path = tmp_path / "ovf.prob"
         path.write_text(open(prob("brownian.prob")).read().replace(
             "phi = poly(x;1)", f"phi = poly(x;1) + {entry}"))
         code, out, err = run(capsys, "symmetries", str(path))
         assert code == 2 and out == ""
-        assert f"{reason} in subexpression '{entry}'" in err
+        assert f"{reason} in subexpression '{entry.replace('.0', '')}'" in err
+
+    def test_decimal_literals_print_as_exact_rationals(self, capsys, tmp_path):
+        # a decimal literal is the exact rational of its text: the file
+        # written with decimals prints as the one written with exact
+        # literals, where a float 0.5 would print as 0.5
+        text = open(prob("langevin.prob")).read()
+        outs = []
+        for drift, half in (("1.0*a*x", "0.5"), ("a*x", "1/2")):
+            path = tmp_path / f"langevin-{len(outs)}.prob"
+            path.write_text(text.replace("drift = a*x", f"drift = {drift}").replace(
+                "phi = poly(x;1) + exp(a*t)*poly(x;0)",
+                f"phi = poly(x;0) + {half}*x + {half}*exp(a*t)"))
+            code, out, err = run(capsys, "symmetries", str(path))
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "X3 = [1/2*exp(a*t) d/dx]^D" in outs[0]
 
     def test_golden_stability(self, capsys):
         outputs = set()

@@ -19,7 +19,16 @@ from sdesym.expr import (
     to_str,
 )
 
-from conftest import DomainError, evaluate, horner, random_expr, random_point, to_sympy
+from conftest import (
+    DomainError,
+    evaluate,
+    exact_floats,
+    horner,
+    parse_floats,
+    random_expr,
+    random_point,
+    to_sympy,
+)
 
 PARAMS = ("a", "b", "alpha", "beta", "c1", "c3")
 
@@ -58,9 +67,16 @@ class TestParse:
         assert e.kind == ex.CONST and e.value == Fraction(1, 2)
 
     def test_float_literal(self):
-        e = p("2.5e-1")
-        assert e.kind == ex.CONST and isinstance(e.value, float)
-        assert e.value == 0.25
+        # a decimal or scientific literal is the exact rational of its text
+        for text, want in (("2.5e-1", Fraction(1, 4)), ("0.1", Fraction(1, 10)),
+                           ("1e-3", Fraction(1, 1000)), ("٣.٥", Fraction(7, 2)),
+                           ("5.", Fraction(5)), (".5", Fraction(1, 2))):
+            e = p(text)
+            assert e.kind == ex.CONST and type(e.value) is Fraction, text
+            assert e.value == want, text
+        assert p("1.0") == p("1") != ex.const(1.0)
+        with pytest.raises(ParseError, match="'1e400' is beyond the float range"):
+            p("2*1e400")
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
@@ -99,12 +115,13 @@ class TestPrint:
             assert parse(to_str(e), parameters=PARAMS) == e, s
 
     def test_roundtrip_random(self, rng):
+        # a float constant comes back as the exact rational of its repr
         for _ in range(300):
             e = random_expr(rng, 4)
             again = parse(to_str(e), parameters=PARAMS)
-            assert again == e, to_str(e)
+            assert again == exact_floats(e), to_str(e)
             se = simplify(e)
-            assert parse(to_str(se), parameters=PARAMS) == se, to_str(se)
+            assert parse(to_str(se), parameters=PARAMS) == exact_floats(se), to_str(se)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +182,21 @@ class TestDiff:
                 pts += 1
                 checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("text", ["x^x", "2^x", "(t + 1)^(t*x)"])
+    def test_power_with_variable_exponent(self, text):
+        # d(b^p) when p depends on the variable: b^p*log(b)*p' for a base
+        # without it, b^p*(p'*log(b) + p*b'/b) otherwise
+        e = p(text)
+        for name in ("t", "x"):
+            d = diff(e, name)
+            for t, x in ((0.5, 0.7), (1.2, 1.5), (2.0, 0.9)):
+                env = {"t": t, "x": x}
+                hi = dict(env, **{name: env[name] + 1e-6})
+                lo = dict(env, **{name: env[name] - 1e-6})
+                fd = (evaluate(e, hi) - evaluate(e, lo)) / 2e-6
+                exact = evaluate(d, env)
+                assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact)), (text, name)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +263,7 @@ class TestEvaluate:
         # where a scalar fsum raises OverflowError
         with pytest.raises(ex.EvalError, match=r"at point \(t=1.5, x=1.5\): non-finite "
                                                r"value inf of '1e\+308\*x \+ 1e\+308\*t'"):
-            ex.finite_points([p("1e308*x + 1e308*t")], [(1.5, 1.5)])
+            ex.finite_points([parse_floats("1e308*x + 1e308*t")], [(1.5, 1.5)])
 
     def test_explanation_matches_scalar_domain_error(self, rng):
         # points where random trees hit their singularities: x = 0 for
@@ -290,7 +322,7 @@ class TestSimplify:
         assert diff(tau, "t") == simplify(p("2*c1"))
 
     def test_idempotent_random(self, rng):
-        # the fixed inputs overflow when folded to a float; they stay unfolded
+        # the fixed inputs lie beyond the float range; they stay unfolded
         fixed = [p(s) for s in ("2^3000.0", "1e300^2", "exp(1000.0)")]
         for e in fixed + [random_expr(rng, 4) for _ in range(300)]:
             s1 = simplify(e)
@@ -326,3 +358,23 @@ class TestSimplify:
         assert simplify(p("2^3")).value == Fraction(8)
         assert simplify(p("x^0")).is_one()
         assert simplify(p("0*log(x)")).is_zero()
+
+    def test_canonical_form_independent_of_term_order(self):
+        # a decimal literal is exact, so both orders give one canonical form
+        assert str(simplify(p("2*x^2.0 + x^2"))) == "3*x^2"
+        assert str(simplify(p("x^2 + 2*x^2.0"))) == "3*x^2"
+        # a float exponent, as built by const(2.0), is a term of its own
+        x = ex.var("x")
+        sq, sq_float = ex.pow_(x, ex.const(2)), ex.pow_(x, ex.const(2.0))
+        for terms in ((ex.mul(2, sq_float), sq), (sq, ex.mul(2, sq_float))):
+            assert str(simplify(ex.add(*terms))) == "x^2 + 2*x^2.0"
+
+    def test_decimal_literals_fold_exactly(self):
+        s = simplify(p("0.1*x + 0.2*x"))
+        assert str(s) == "3/10*x" and s.children[0].value == Fraction(3, 10)
+        # a constant power with a non-integer exponent stays exact and unfolded
+        assert str(simplify(p("4^(1/2)*x"))) == "x*4^(1/2)"
+        assert str(simplify(p("exp(0.5)"))) == "exp(1/2)"
+        # a constant power folds only to a value in the float range
+        assert simplify(p("2^-3")).value == Fraction(1, 8)
+        assert simplify(p("2^3000")).kind == ex.POWER

@@ -4,8 +4,10 @@
 a pass leaves unchanged as its own canonical form; `_key` stores its tuple on
 the node.  These tests check that the trees are those of
 `simplify_unmemoized` (expr.simplify without either memo) type-strictly,
-and that the memo lives on its tree alone: `==` takes the constant 1 for
-1.0, so a table keyed on trees would mix them up.
+and that the memo lives on its tree alone.  `parse` makes every literal an
+exact rational, so the trees that mix float and rational constants are
+built with `parse_floats`, whose decimal literals are float constants as
+the solver makes them for unsnapped coefficients.
 """
 
 import os
@@ -18,7 +20,7 @@ from sdesym.ansatz import solve_symmetries
 from sdesym.expr import add, const, parse, simplify, var
 from sdesym.problem import load_problem
 
-from conftest import _um_key, random_expr, same_tree, simplify_unmemoized
+from conftest import _um_key, parse_floats, random_expr, same_tree, simplify_unmemoized
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,8 +31,8 @@ MIXED = ("1.0*x + 1", "x^2.0", "2.0*x*2 + x/2.0", "1.0*x - x", "x + 1",
 
 @pytest.mark.parametrize("text", MIXED)
 def test_mixed_constants_type_strict(text):
-    want = simplify_unmemoized(parse(text))
-    got = simplify(parse(text))
+    want = simplify_unmemoized(parse_floats(text))
+    got = simplify(parse_floats(text))
     assert same_tree(got, want), (str(got), str(want))
 
 
@@ -59,13 +61,13 @@ def test_equal_trees_keep_their_own_constant_type(first):
     x = var("x")
     trees = {text: add(x, const(1 if text == "x + 1" else 1.0))
              for text in (first, second)}
-    assert trees[first] == trees[second]  # == cannot tell them apart
+    assert trees[first] != trees[second]  # == tells 1 from 1.0
     results = {text: simplify(trees[text]) for text in (first, second)}
     assert type(results["x + 1"].children[0].value) is Fraction
     assert type(results["x + 1.0"].children[0].value) is float
-    # parsed afresh, in the same order
+    # built afresh, in the same order
     for text in (first, second):
-        assert same_tree(simplify(parse(text)), results[text])
+        assert same_tree(simplify(parse_floats(text)), results[text])
 
 
 def test_simplify_twice_returns_the_identical_object():

@@ -3,15 +3,14 @@ Ito helper, with the same rows written out term by term.
 
 `build_system_written_out` and `transformation_system_written_out` in
 conftest.py build every row with its own derivatives and negations.  The
-production builders must return equal (==) residual trees, so that the
-linearization, the solver and the printed output see the same expressions.
-The builders are also checked type-strictly (`same_tree`: the type, repr and
-sign of zero of every constant) against themselves run with
-`simplify_unmemoized`, expr.simplify without the canonical form and sort key
-kept on each node, also over SDEs that mix float and rational constants:
-10,620 determining systems and the 1,000 pair sets.
-(Against the written-out rows only == holds: a sum keeps the first of its
-equal terms, so x^2.0 + x^2 may come out with either exponent.)
+production builders must return equal (==, which tells the constant 1 from
+1.0) residual trees, so that the linearization, the solver and the printed
+output see the same expressions.  The builders are also checked against
+themselves run with `simplify_unmemoized`, expr.simplify without the
+canonical form and sort key kept on each node, by `same_tree`, which also
+compares the sign of zero: 10,620 determining systems and the 1,000 pair
+sets.  Decimal literals here are float constants (`parse_floats`), so the
+SDEs, fields and maps mix float and rational constants.
 """
 
 import itertools
@@ -24,12 +23,13 @@ import pytest
 from sdesym import ansatz, determining, transform
 from sdesym.ansatz import solve_symmetries
 from sdesym.determining import Sde, VectorField, build_system
-from sdesym.expr import _diff, add, mul, param, parse
+from sdesym.expr import _diff, add, mul, param
 from sdesym.problem import load_problem
 from sdesym.transform import PairedSymmetries, transformation_system
 
 from conftest import (
     build_system_written_out,
+    parse_floats,
     same_tree,
     simplify_unmemoized,
     transformation_system_written_out,
@@ -40,7 +40,9 @@ P = ("a", "b", "alpha", "beta", "_c0", "_c1", "_c2", "_c3", "_c4", "_c5")
 
 
 def p(s):
-    return parse(s, parameters=P)
+    # decimal literals are float constants, as the solver makes them for
+    # unsnapped coefficients; parse would make them exact rationals
+    return parse_floats(s, parameters=P)
 
 
 SDES = {

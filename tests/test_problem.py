@@ -1,5 +1,7 @@
 """Problem-file and ansatz-spec parsing."""
 
+from fractions import Fraction
+
 import pytest
 
 from sdesym.expr import parse, simplify
@@ -107,7 +109,7 @@ class TestProblemFile:
             parse_problem_text(text, path="p.prob")
         assert str(err.value) == f"p.prob:7: duplicate {key}"
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "one"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "one", "1e400"])
     def test_param_value_must_be_finite(self, value):
         def text(v):
             return f"[declare]\nparam a = {v}\n[sde]\ndrift = a*x\ndiffusion = 1\n"
@@ -115,7 +117,11 @@ class TestProblemFile:
             parse_problem_text(text(value), path="p.prob")
         assert str(err.value) == (
             f"p.prob:2: param a must be a finite number, got '{value}'")
-        assert parse_problem_text(text("-0.0")).params == {"a": 0.0}
+        # a value is the exact rational of its text, which has no signed zero
+        for spelled, want in (("-0.0", Fraction(0)), ("0.1", Fraction(1, 10)),
+                              ("1e-3", Fraction(1, 1000))):
+            got = parse_problem_text(text(spelled)).params["a"]
+            assert type(got) is Fraction and got == want, spelled
 
     def test_missing_diffusion_rejected(self):
         with pytest.raises(ProblemError, match="exactly one"):
