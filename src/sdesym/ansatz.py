@@ -6,7 +6,9 @@ nullspace of that system yields a basis of symmetry generators.  The
 quadratic phitilde^2 coupling is handled by a two-stage solve: the rows
 linear in phitilde alone are solved first, then each direction is carried
 through the remaining rows with its squared scale as an extra affine
-unknown q = s^2 (q >= 0 checked afterwards).
+unknown q = s^2.  A nullspace vector with q < 0 is negated as a whole,
+which makes q > 0, and the direction is scaled by sqrt(q); one with
+|q| <= 1e-10 keeps no phitilde.
 """
 
 from __future__ import annotations

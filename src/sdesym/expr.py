@@ -19,6 +19,7 @@ there is no process-wide cache.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,6 +43,11 @@ _ATOMS = (CONST, VAR, PARAM)
 DEFAULT_VARIABLES = ("t", "x", "y", "s")
 
 SIMPLIFY_MAX_PASSES = 64
+
+#: the bits of a folded rational's numerator and of its denominator, above
+#: the float range's 1,075: more cost time, and Python prints no integer of
+#: more than 4,300 digits
+_FOLD_BITS = 1100
 
 
 class ExprError(Exception):
@@ -265,12 +271,6 @@ def parameters_of(e: Expr) -> set:
     return {n for n, k in free_symbols(e).items() if k == PARAM}
 
 
-def depends_on(e: Expr, name: str) -> bool:
-    if e.kind in (VAR, PARAM):
-        return e.name == name
-    return any(depends_on(c, name) for c in e.children)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -304,10 +304,10 @@ def _diff(e: Expr, name: str) -> Expr:
     if k == POWER:
         b, p = e.children
         db, dp = _diff(b, name), _diff(p, name)
-        if not depends_on(p, name):
+        if name not in free_symbols(p):
             # p constant in `name`: d(b^p) = p * b^(p-1) * b'
             return mul(p, pow_(b, add(p, const(-1))), db)
-        if not depends_on(b, name):
+        if name not in free_symbols(b):
             return mul(e, log(b), dp)
         return mul(e, add(mul(dp, log(b)), mul(p, div(db, b))))
     if k == EXP:
@@ -576,7 +576,7 @@ def _simp_node(e: Expr) -> Expr:
         a = _simp(e.children[0])
         b = _simp(e.children[1])
         if a.kind == CONST and b.kind == CONST and b.value != 0:
-            return const(a.value / b.value)
+            return const(_fold(a.value / b.value, QUOTIENT, (a, b)))
         return _simp_product([a, _simp_power(b, const(-1))])
     if k == NEG:
         u = _simp(e.children[0])
@@ -647,6 +647,8 @@ def _simp_sum(children) -> Expr:
             const_part = const_part + coeff
         else:
             acc[key] = acc.get(key, 0) + coeff
+    for v in (const_part, *acc.values()):
+        _fold(v, SUM, children)
     terms = []
     if const_part != 0:
         terms.append(const(const_part))
@@ -707,6 +709,7 @@ def _simp_product(children) -> Expr:
                 return ZERO
         elif not f.is_one():
             factors.append(f)
+    _fold(coeff, PRODUCT, children)
     if exp_args:
         total = _simp_sum(exp_args) if len(exp_args) > 1 else exp_args[0]
         if not total.is_zero():
@@ -721,6 +724,16 @@ def _simp_product(children) -> Expr:
         inner = factors[0] if len(factors) == 1 else Expr(PRODUCT, factors)
         return Expr(NEG, (inner,))
     return Expr(PRODUCT, (const(coeff),) + tuple(factors))
+
+
+def _fold(v, kind: str, children):
+    """v, a constant folded from the node (kind, children); ExprError names
+    the node when v is a rational of more than _FOLD_BITS bits."""
+    # x >> _FOLD_BITS is nonzero when x has more bits
+    if not isinstance(v, float) and max(abs(v.numerator), v.denominator) >> _FOLD_BITS:
+        raise ExprError(f"exact constant of more than {_FOLD_BITS} bits "
+                        f"in subexpression '{Expr(kind, children)}'")
+    return v
 
 
 def _is_int_const(e: Expr) -> bool:
@@ -740,11 +753,15 @@ def _simp_power(b: Expr, p: Expr) -> Expr:
             return ZERO
         return Expr(POWER, (b, p))
     if b.kind == CONST and _is_int_const(p):
-        # folded only to a value in the float range
+        # folded only to a value in the float range, and only when n*log2 of
+        # the base's terms, known before the power is, is within _FOLD_BITS
+        v, n = b.value, int(p.value)
         try:
-            v = b.value ** int(p.value)
-            if math.isfinite(_to_float(v)):
-                return const(v)
+            if isinstance(v, float) or abs(n) * math.log2(
+                    max(abs(v.numerator), v.denominator)) <= _FOLD_BITS:
+                v = v ** n
+                if math.isfinite(_to_float(v)):
+                    return const(v)
         except OverflowError:
             pass  # left unfolded: evaluation reports the overflow
         return Expr(POWER, (b, p))
@@ -871,58 +888,62 @@ def to_str(e: Expr) -> str:
 #
 # Every number literal, integer, decimal or scientific, becomes the exact
 # rational of its text (`0.3` is 3/10, `1e-3` is 1/1000), and so does an
-# integer/integer ratio; a literal beyond the float range is refused.  Unary
-# minus on a literal folds into the constant.  Identifiers must be declared
-# variables or parameters.
+# integer/integer ratio; a literal beyond the float range (above it, or a
+# nonzero one below it) is refused.  Unary minus on a literal folds into the
+# constant.  Identifiers must be declared variables or parameters.  The
+# tokens are those of _TOKEN:
+_TOKEN = re.compile(r"""
+    \s*                   # \s is str.isspace
+    (?:
+      (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)   # \d is isdecimal
+    | (?P<ident>\w+)      # \w is isalnum or _; a name starts with an
+                          # isalpha() character or _, which _tokens tests
+    | (?P<op>[-+*/^()])
+    | (?P<end>\Z)
+    | (?P<other>.)        # refused by the parser
+    )""", re.VERBOSE | re.DOTALL)
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
+
+def _tokens(text: str) -> list:
+    """The (kind, text, position) tokens of `text`, the last one
+    ("end", "", len(text)).  An operator's kind is its character; a
+    character that starts no token is an "other" token, and so is a word
+    that does not start as a name."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        if kind == "op":
+            kind = tok
+        elif kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            kind = "other"
+        out.append((kind, tok, m.start(m.lastgroup)))
+        if kind == "end":
+            return out
+
+
+def _exact_number(text: str) -> Fraction:
+    """The exact rational of the number `text`: ValueError for malformed
+    text, OverflowError beyond the float range (inf, nan, or a nonzero value
+    whose float is 0).  The range is decided from float(text) before the
+    rational is built, whose size grows with the exponent."""
+    v = float(text)
+    if v == 0.0 and float(re.split("[eE]", text)[0]) == 0.0:
+        return Fraction(0)
+    if v == 0.0 or not math.isfinite(v):
+        raise OverflowError(f"{text!r} is beyond the float range")
+    return Fraction(text)
+
+
+class _Parser:
+    def __init__(self, text: str, variables, parameters):
+        self.tokens = _tokens(text)
         self.i = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                if j < n and text[j] == ".":
-                    j += 1
-                    while j < n and text[j].isdecimal():
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdecimal():
-                        j = k
-                        while j < n and text[j].isdecimal():
-                            j += 1
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n))
+        self.variables = set(variables)
+        self.parameters = set(parameters)
+        for kind, tok, pos in self.tokens:
+            if kind == "other":
+                raise ParseError(f"unexpected character {tok[0]!r}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -932,34 +953,29 @@ class _Tokenizer:
         self.i += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, text: str, variables, parameters):
-        self.tz = _Tokenizer(text)
-        self.variables = set(variables)
-        self.parameters = set(parameters)
+    def take(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind, and say so."""
+        if self.tokens[self.i][0] != kind:
+            return False
+        self.i += 1
+        return True
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.tz.peek()
+        tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
         return e
 
     def expr(self) -> Expr:
-        tok = self.tz.peek()
-        if tok[0] == "-":
-            self.tz.next()
+        if self.take("-"):
             acc = negate(self.term())
         else:
             acc = self.term()
         while True:
-            tok = self.tz.peek()
-            if tok[0] == "+":
-                self.tz.next()
+            if self.take("+"):
                 acc = add(acc, self.term())
-            elif tok[0] == "-":
-                self.tz.next()
+            elif self.take("-"):
                 acc = add(acc, negate(self.term()))
             else:
                 return acc
@@ -967,47 +983,39 @@ class _Parser:
     def term(self) -> Expr:
         acc = self.factor()
         while True:
-            tok = self.tz.peek()
-            if tok[0] == "*":
-                self.tz.next()
+            if self.take("*"):
                 acc = mul(acc, self.factor())
-            elif tok[0] == "/":
-                self.tz.next()
+            elif self.take("/"):
                 acc = div(acc, self.factor())
             else:
                 return acc
 
     def factor(self) -> Expr:
-        tok = self.tz.peek()
-        if tok[0] == "-":
-            self.tz.next()
+        if self.take("-"):
             return negate(self.factor())
         b = self.base()
-        if self.tz.peek()[0] == "^":
-            self.tz.next()
+        if self.take("^"):
             return pow_(b, self.factor())
         return b
 
     def base(self) -> Expr:
-        kind, text, pos = self.tz.next()
+        kind, text, pos = self.next()
         if kind == "num":
-            if not math.isfinite(float(text)):
-                raise ParseError(f"number {text!r} is beyond the float range", pos)
-            return const(Fraction(text))
-        if kind == "(":
+            try:
+                return const(_exact_number(text))
+            except OverflowError:
+                raise ParseError(f"number {text!r} is beyond the float range",
+                                 pos) from None
+        # a parenthesized expression, or the argument of exp or log
+        if kind == "(" or text in ("exp", "log") and self.take("("):
             e = self.expr()
-            closing = self.tz.next()
+            closing = self.next()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
-            return e
+            if kind == "(":
+                return e
+            return exp(e) if text == "exp" else log(e)
         if kind == "ident":
-            if text in ("exp", "log") and self.tz.peek()[0] == "(":
-                self.tz.next()
-                arg = self.expr()
-                closing = self.tz.next()
-                if closing[0] != ")":
-                    raise ParseError("expected ')'", closing[2])
-                return exp(arg) if text == "exp" else log(arg)
             if text in self.variables:
                 return var(text)
             if text in self.parameters:

@@ -166,19 +166,15 @@ def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
     with np.errstate(all="ignore"):
         for _ in range(n_sub):
             k1b = _a(tau(beta))
-            k1j = _a(tau_t(beta)) * J
             b2 = beta + 0.5 * h * k1b
             k2b = _a(tau(b2))
-            k2j = _a(tau_t(b2)) * (J + 0.5 * h * k1j)
             b3 = beta + 0.5 * h * k2b
             k3b = _a(tau(b3))
-            k3j = _a(tau_t(b3)) * (J + 0.5 * h * k2j)
             b4 = beta + h * k3b
             k4b = _a(tau(b4))
-            k4j = _a(tau_t(b4)) * (J + h * k3j)
             stages.append((beta, b2, b3, b4))
             beta = beta + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-            J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    _transport(lambda b, F: tau_t(b) * F, h, stages, J)
     return beta, J, stages
 
 

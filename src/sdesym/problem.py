@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 from .ansatz import DEFAULT_RANK_TOL, DEFAULT_WINDOW, Ansatz
 from .determining import Sde
-from .expr import Expr, ExprError, mul, parse, simplify, var
+from .expr import Expr, ExprError, _exact_number, _tokens, mul, parse, simplify, var
 
 BASE_VARIABLES = ("t", "x")
 
@@ -114,23 +113,23 @@ class ProblemFile:
                 "n_paths": n["paths"], "seed": n["seed"]}
 
 
-def _split_top_level(text: str, sep: str) -> list:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
+def _split_top_level(text: str) -> list:
+    """The terms of an ansatz sum: `text` cut at each `+` token outside
+    parentheses (a `+` in a literal's exponent is no token)."""
+    parts, depth, start = [], 0, 0
+    for kind, _, pos in _tokens(text):
+        if kind == "(":
             depth += 1
-        elif ch == ")":
+        elif kind == ")":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
+        elif kind == "+" and depth == 0:
+            parts.append(text[start:pos])
+            start = pos + 1
+    parts.append(text[start:])
     return parts
 
 
-def _poly_entries(spec: str, variables, parameters) -> list:
+def _poly_entries(spec: str, variables) -> list:
     """Expand `poly(v1,...,vk; d)` into monomials of total degree <= d."""
     inner = spec[len("poly("):-1]
     if ";" not in inner:
@@ -155,16 +154,16 @@ def _poly_entries(spec: str, variables, parameters) -> list:
 def parse_ansatz_spec(text: str, variables, parameters) -> tuple:
     """Parse an ansatz dictionary spec into a tuple of distinct entries."""
     entries = []
-    for raw in _split_top_level(text, "+"):
+    for raw in _split_top_level(text):
         term = raw.strip()
         if not term:
             continue
         if term.startswith("poly(") and term.endswith(")"):
-            new = _poly_entries(term, variables, parameters)
+            new = _poly_entries(term, variables)
         elif "*poly(" in term and term.endswith(")"):
             head, tail = term.rsplit("*poly(", 1)
             prefix = parse(head.strip(), variables, parameters)
-            monomials = _poly_entries("poly(" + tail, variables, parameters)
+            monomials = _poly_entries("poly(" + tail, variables)
             new = [simplify(mul(prefix, m)) for m in monomials]
         else:
             new = [simplify(parse(term, variables, parameters))]
@@ -172,16 +171,6 @@ def parse_ansatz_spec(text: str, variables, parameters) -> tuple:
             if e not in entries:
                 entries.append(e)
     return tuple(entries)
-
-
-def _param_value(text: str, where: str) -> Fraction:
-    """The exact rational of `text`, a number in the float range."""
-    try:
-        if math.isfinite(float(text)):
-            return Fraction(text)
-    except ValueError:
-        pass
-    raise ProblemError(f"{where} must be a finite number, got {text!r}")
 
 
 def _unique(entries, keys, what: str):
@@ -259,14 +248,16 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
             else:
                 raise ProblemError(
                     f"{where}: expected 'var NAME' or 'param NAME [= value]'")
-            # the expression tokenizer's rule for a name
-            if not ((nm[:1].isalpha() or nm[:1] == "_")
-                    and all(ch.isalnum() or ch == "_" for ch in nm)):
+            if _tokens(nm)[0][:2] != ("ident", nm):  # a name, as expressions read it
                 raise ProblemError(f"{where}: {kind} {nm!r} is not a name")
             if nm in other:
                 raise ProblemError(f"{where}: {nm} is declared as var and as param")
             if kind == "param":
-                params[nm] = _param_value(val, f"{where}: param {nm}") if eq else None
+                try:  # the exact rational of the value, a number in the float range
+                    params[nm] = _exact_number(val) if eq else None
+                except (ValueError, OverflowError):
+                    raise ProblemError(f"{where}: param {nm} must be a finite "
+                                       f"number, got {val!r}") from None
             elif nm not in variables:
                 variables.append(nm)
         else:

@@ -201,9 +201,9 @@ def transformation_system_written_out(pairs, mu1, mu2):
 
 class _FloatLiteralParser(ex._Parser):
     def base(self):
-        kind, text, _ = self.tz.peek()
+        kind, text, _ = self.peek()
         if kind == "num" and not text.isdecimal():
-            self.tz.next()
+            self.next()
             return ex.const(float(text))
         return super().base()
 

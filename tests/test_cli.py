@@ -193,6 +193,35 @@ class TestSymmetries:
         assert code == 2 and out == ""
         assert f"{reason} in subexpression '{entry.replace('.0', '')}'" in err
 
+    def test_huge_power_stays_unfolded(self, tmp_path):
+        # computing 10^999999999 would not finish: it stays unfolded, and
+        # evaluation names it.  A fresh process runs it, so that a hang
+        # fails the test
+        path = tmp_path / "pow.prob"
+        path.write_text(open(prob("brownian.prob")).read().replace(
+            "phi = poly(x;1)", "phi = poly(x;1) + 10^999999999*x^2"))
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-m", "sdesym.cli", "--mode",
+                               "classical", "symmetries", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "overflow in power in subexpression '10^999999999'" in proc.stderr
+
+    def test_exact_constants_stay_printable(self, capsys, tmp_path):
+        # Python prints no integer of more than 4,300 digits: 10^-5000 stays
+        # an unfolded power, and a product folding to 10^4500 is refused
+        text = open(prob("brownian.prob")).read()
+        path = tmp_path / "tiny.prob"
+        path.write_text(text.replace(
+            "phi = poly(x;1)", "phi = poly(x;1) + (x^3 + 10^-5000*x^2)"))
+        code, out, err = run(capsys, "--mode", "classical", "symmetries", str(path))
+        assert code == 0 and err == "" and "generators (3)" in out
+        path.write_text(text.replace(
+            "phi = poly(x;1)", "phi = poly(x;1) + " + "*".join(["1e300"] * 15)))
+        code, out, err = run(capsys, "--mode", "classical", "symmetries", str(path))
+        assert code == 2 and out == ""
+        assert "exact constant of more than 1100 bits in subexpression" in err
+
     def test_decimal_literals_print_as_exact_rationals(self, capsys, tmp_path):
         # a decimal literal is the exact rational of its text: the file
         # written with decimals prints as the one written with exact

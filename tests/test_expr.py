@@ -1,6 +1,9 @@
 """Expression kernel: parsing, printing, calculus, simplification."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +80,59 @@ class TestParse:
         assert p("1.0") == p("1") != ex.const(1.0)
         with pytest.raises(ParseError, match="'1e400' is beyond the float range"):
             p("2*1e400")
+
+    def test_scanner_classes_are_the_str_predicates(self):
+        # per code point: a space is isspace(), a number starts with an
+        # isdecimal() digit, a word is made of isalnum() characters or _
+        # (the one class of its first and later characters), and _tokens
+        # reads a word as a name when it starts with an isalpha() character
+        # or _
+        chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+
+        def group(c):
+            if c.isspace():
+                return None
+            if c.isdecimal():
+                return "num"
+            if c.isalnum() or c == "_":
+                return "ident"
+            return "op" if c in "+-*/^()" else "other"
+
+        # one match per character that is not a space, in order
+        groups = list(map(group, chars))
+        assert [m.lastgroup for m in ex._TOKEN.finditer(" ".join(chars))] == [
+            *filter(None, groups), "end"]
+        words = [c for c, g in zip(chars, groups) if g in ("num", "ident")]
+        kinds = [k for k, _, _ in ex._tokens(" ".join(words))]
+        assert kinds[:-1] == ["ident" if c.isalpha() or c == "_" else
+                              "num" if c.isdecimal() else "other" for c in words]
+        word = "a" + "".join(words)
+        assert ex._tokens(word) == [("ident", word, 0), ("end", "", len(word))]
+
+    @pytest.mark.parametrize("code, said", [
+        ("print(parse('0e999999999*x'))", "0*x"),
+        ("parse('2*1e-400')",
+         "number '1e-400' is beyond the float range (at position 2)"),
+        ("problem.parse_problem_text('[declare]\\nparam a = 1e-999999999\\n')",
+         "<memory>:2: param a must be a finite number, got '1e-999999999'"),
+    ])
+    def test_number_range_decided_before_the_rational(self, code, said):
+        # Fraction(text) of these builds 10^999999999 (or 10^400): the zero
+        # is 0 and the nonzero value whose float is 0 is refused, at once.
+        # A fresh interpreter runs the code, so that a hang fails the test.
+        script = ("import time\nfrom sdesym import expr as ex, problem\n"
+                  "from sdesym.expr import parse\nt0 = time.perf_counter()\n"
+                  f"try:\n    {code}\n"
+                  "except (ex.ParseError, problem.ProblemError) as err:\n"
+                  "    print(err)\n"
+                  "print(time.perf_counter() - t0)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        out, took = proc.stdout.splitlines()
+        assert out == said and float(took) < 0.5
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
@@ -378,3 +434,18 @@ class TestSimplify:
         # a constant power folds only to a value in the float range
         assert simplify(p("2^-3")).value == Fraction(1, 8)
         assert simplify(p("2^3000")).kind == ex.POWER
+
+    def test_folded_rational_fits_in_fold_bits(self):
+        # a power is folded only when n*log2 of its base's terms is within
+        # _FOLD_BITS, decided before it is computed
+        assert simplify(p("2^1000*x")).children[0].value == 2 ** 1000
+        assert str(simplify(p("10^-5000*x"))) == "x*10^-5000"
+        # a product or sum whose folded constant is larger is refused,
+        # naming the node; the test reads the folded constant, so the order
+        # of the factors does not matter
+        for text in ("1e300*1e300*x", "x + 3^-600 + 5^-400", "1e300/1e-300"):
+            with pytest.raises(ex.ExprError, match="exact constant of more than "
+                               "1100 bits in subexpression"):
+                simplify(p(text))
+        for text in ("1e300*1e300*1e-300*x", "1e-300*1e300*1e300*x"):
+            assert simplify(p(text)) == simplify(p("1e300*x"))

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sdesym.ansatz import sample_points
+from sdesym import lie
+from sdesym.ansatz import DEFAULT_WINDOW, sample_points
 from sdesym.determining import VectorField
 from sdesym.expr import parse, simplify
 from sdesym.lie import (
@@ -238,3 +239,32 @@ class TestGaussNewton:
         x, resid = _gauss_newton(lambda x: J @ x + 1.0, lambda x: J, np.zeros(2), 80)
         assert np.all(np.isfinite(x))
         assert resid < 1e-8   # from |r(0)| = 1
+
+
+class TestTolerancesFromTheLooseSide:
+    # each input lies between the default constant and the constant
+    # loosened x10^3: the verdict flips between the two, so a looser
+    # constant fails here
+
+    def test_match_tol(self, monkeypatch):
+        c = np.zeros((3, 3, 3))
+        c[0, 0, 1], c[0, 1, 0] = 2.0, -2.0    # Brownian: [X1, X2] = 2 X1
+        c[2, 1, 2], c[2, 2, 1] = -1.0, 1.0    # [X2, X3] = -X3
+        near = c.copy()
+        near[1, 0, 2], near[1, 2, 0] = 1e-6, -1e-6
+        S, T = StructureConstants(c, 3), StructureConstants(near, 3)
+        assert not match_basis(S, T, seed=0).matched
+        monkeypatch.setattr(lie, "MATCH_TOL", lie.MATCH_TOL * 1e3)
+        m = match_basis(S, T, seed=0)
+        assert m.matched and m.residual == pytest.approx(1e-6)
+
+    def test_closure_tol(self, monkeypatch):
+        # [d/dx, t d/dt + 1e-6 x^2 d/dx] = 2e-6 x d/dx leaves the span by
+        # about 1.45e-6 on these points
+        basis = [VectorField(phi=p("1")), VectorField(p("t"), p("1/1000000*x^2"))]
+        pts = sample_points(32, DEFAULT_WINDOW, 2043)
+        with pytest.raises(ClosureError) as err:
+            structure_constants(basis, pts, {})
+        assert 1e-6 < err.value.resid < 1e-5
+        monkeypatch.setattr(lie, "CLOSURE_TOL", lie.CLOSURE_TOL * 1e3)
+        assert structure_constants(basis, pts, {}).n == 2

@@ -35,6 +35,11 @@ class TestAnsatzSpec:
         entries = parse_ansatz_spec("x*exp(2*t)", ("t", "x"), ())
         assert entries == (simplify(parse("x*exp(2*t)")),)
 
+    def test_plus_in_a_literal_splits_no_sum(self):
+        # the sum is cut at + tokens, and the exponent's sign is no token
+        entries = parse_ansatz_spec("poly(x;1) + 1e+0*x^2", ("t", "x"), ())
+        assert entries == tuple(simplify(parse(e)) for e in ("1", "x", "x^2"))
+
     def test_degree_zero(self):
         assert parse_ansatz_spec("poly(t;0)", ("t", "x"), ()) == (parse("1"),)
 
@@ -157,6 +162,17 @@ class TestProblemFile:
         pf = parse_problem_text("[declare]\nvar t\nvar x\nvar t\nvar z\nvar z\n"
                                 "[sde]\ndrift = 0\ndiffusion = 1\n")
         assert pf.variables == ("t", "x", "z")
+
+    def test_declared_names_are_the_scanned_names(self):
+        # a name starts with an isalpha() character or _ and goes on with
+        # isalnum() characters or _ ('²' is isalnum), as expressions read it
+        for name in ("é", "_1", "x²"):
+            pf = parse_problem_text(f"[declare]\nvar {name}\n")
+            assert pf.variables[-1] == name
+            assert parse(name, pf.variables).name == name
+        for name in ("²x", "a.b", "x-y"):
+            with pytest.raises(ProblemError, match=f"var '{name}' is not a name"):
+                parse_problem_text(f"[declare]\nvar {name}\n")
 
     def test_extra_variable_declaration(self):
         pf = parse_problem_text("[declare]\nvar z\n\n[sde]\ndrift = 0\ndiffusion = 1\n")
