@@ -924,9 +924,10 @@ def _tokens(text: str) -> list:
 
 def _exact_number(text: str) -> Fraction:
     """The exact rational of the number `text`: ValueError for malformed
-    text, OverflowError beyond the float range (inf, nan, or a nonzero value
-    whose float is 0).  The range is decided from float(text) before the
-    rational is built, whose size grows with the exponent."""
+    text and for a run of digits longer than Python converts to an int
+    (4,300 by default), OverflowError beyond the float range (inf, nan, or a
+    nonzero value whose float is 0).  The range is decided from float(text)
+    before the rational is built, whose size grows with the exponent."""
     v = float(text)
     if v == 0.0 and float(re.split("[eE]", text)[0]) == 0.0:
         return Fraction(0)
@@ -1006,6 +1007,9 @@ class _Parser:
             except OverflowError:
                 raise ParseError(f"number {text!r} is beyond the float range",
                                  pos) from None
+            except ValueError:  # a token is well formed: too many digits
+                raise ParseError(f"number {text[:12]!r}... has too many "
+                                 f"digits to read exactly", pos) from None
         # a parenthesized expression, or the argument of exp or log
         if kind == "(" or text in ("exp", "log") and self.take("("):
             e = self.expr()

@@ -2,8 +2,10 @@
 
 Simulates SDE path ensembles (Euler-Maruyama, counter-based Philox noise),
 applies deterministic symmetry flows with the accompanying time change,
-and statistically compares transformed ensembles against fresh simulations
-with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.
+and statistically compares transformed ensembles against fresh ensembles
+with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.  A fresh
+ensemble of constant drift and diffusion is drawn from its exact law (the
+law Euler-Maruyama samples then too), any other is simulated.
 
 Stochastic generators (phitilde != 0) are certified by direct residual
 evaluation of the determining system; flow-based simulation is offered for
@@ -21,7 +23,7 @@ import numpy as np
 
 from .ansatz import DEFAULT_WINDOW, VERIFY_TOL, _max_abs, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
-from .expr import compile_fn, diff, evaluate_points, simplify
+from .expr import compile_fn, diff, evaluate_points, simplify, variables_of
 from .transform import TransformMap
 
 FRESH_SEED_OFFSET = 1_000_003
@@ -405,31 +407,54 @@ def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
 
 
 @contextmanager
-def _fresh_normals(n_paths: int, K: int, seed: int):
-    """Yields take(), the (n_paths, K) normals of the fresh ensemble of
-    `seed`.  They are drawn meanwhile on a thread that calls numpy only,
-    joined by take() and on every way out; take() draws again if that draw
-    raised.  Fewer than one path is refused before the thread starts."""
+def _fresh_ensemble(sde: Sde, n_paths: int, K: int, seed: int, rows):
+    """Yields fresh(y0, grid) -> (Z, aborted): the fresh ensemble of `sde`
+    from y0 on `grid` at the grid rows `rows`, from the noise of
+    seed + FRESH_SEED_OFFSET.  Fewer than one path is refused first.
+
+    With constant drift c and diffusion sigma (neither mentions t or x) it
+    is the exact law, Z_j = y0 + c (s_j - s_0) + sigma W(s_j - s_0) at
+    s = grid[[0, *rows]] from a (len(rows), n_paths) draw, with no thread.
+    Otherwise it is `_simulate_on_grid`, its (n_paths, K) normals drawn
+    meanwhile on a thread that calls numpy only, joined by fresh() and on
+    every way out; fresh() draws again if that draw raised."""
     if n_paths < 1:
         raise NumericError(f"need at least 1 path, got {n_paths}")
-    import threading  # numpy has loaded it already
     rng = np.random.Generator(np.random.Philox(key=seed + FRESH_SEED_OFFSET))
+    if not (variables_of(sde.drift) or variables_of(sde.diffusion)):
+        def exact(y0, grid):
+            s = _grid(grid)[[0, *rows]]
+            if not math.isfinite(y0):
+                raise NumericError(f"initial state {y0} is not finite")
+            c, sigma = (compile_fn(e, (), sde.bound_params())()
+                        for e in (sde.drift, sde.diffusion))
+            W = np.cumsum(rng.standard_normal((len(rows), n_paths))
+                          * np.sqrt(np.diff(s))[:, None], axis=0)
+            with np.errstate(all="ignore"):
+                Z = (y0 + c * (s[1:] - s[0]))[:, None] + sigma * W
+            bad = ~np.isfinite(Z)
+            Z[bad] = np.nan
+            return Z, bad.any(axis=0)
+        yield exact
+        return
+    import threading  # numpy has loaded it already
     box = []
 
     def draw():
         try:
             box.append(rng.standard_normal((n_paths, K)))
-        except Exception:  # take() draws again and raises it
+        except Exception:  # fresh() draws again and raises it
             pass
 
-    def take():
+    def fresh(y0, grid):
         worker.join()
-        return box.pop() if box else rng.standard_normal((n_paths, K))
+        normals = box.pop() if box else rng.standard_normal((n_paths, K))
+        return _simulate_on_grid(sde, y0, grid, normals, rows)
 
     worker = threading.Thread(target=draw)
     worker.start()
     try:
-        yield take
+        yield fresh
     finally:
         worker.join()
 
@@ -441,12 +466,13 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
 
     Simulates the SDE, transports the ensemble along the flow of v, and
     compares its marginals (4 checkpoints, two-sample KS) against a fresh
-    ensemble of the same SDE started at the transformed initial state on
-    the image time grid.  The time change and its checks run on the whole
-    grid; the paths are kept and moved at the checkpoints only.
+    ensemble of the same SDE (`_fresh_ensemble`) started at the transformed
+    initial state on the image time grid.  The time change and its checks
+    run on the whole grid; the paths are kept and moved at the checkpoints
+    only.
     """
-    with _fresh_normals(n_paths, K, seed) as take:
-        cols = _checkpoint_indices(K)
+    cols = _checkpoint_indices(K)
+    with _fresh_ensemble(sde, n_paths, K, seed, cols) as fresh:
         times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols)
         # the step-halving check's paths: the first 8, with the same normals
         sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed,
@@ -454,9 +480,8 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
         beta, image, aborted = _flow_image(v, eps, sde.bound_params(), times,
                                            sub, cols, X, aborted)
         # every path starts at x0, so the moved first cell is the image of x0
-        fresh, fresh_aborted = _simulate_on_grid(sde, float(sub[0, 0]), beta,
-                                                 take(), cols)
-    return _compare_ensembles(image, aborted, seed, beta[cols], fresh,
+        Z, fresh_aborted = fresh(float(sub[0, 0]), beta)
+    return _compare_ensembles(image, aborted, seed, beta[cols], Z,
                               fresh_aborted)
 
 
@@ -466,18 +491,18 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     """Distributional check that mu maps src solutions to tgt solutions.
 
     Source paths X(t_k) become Y_k = mu2(t_k, X(t_k)) at times s_k =
-    mu1(t_k); a fresh target ensemble is simulated on {s_k} from mu2(0, x0)
-    and the marginals are compared at 4 checkpoints by two-sample KS.  mu1
-    is checked on the whole grid; the paths are kept, and mu2 evaluated, at
-    the checkpoints only.
+    mu1(t_k); their marginals are compared at 4 checkpoints by two-sample
+    KS with a fresh target ensemble (`_fresh_ensemble`) on {s_k} from
+    mu2(0, x0).  mu1 is checked on the whole grid; the paths are kept, and
+    mu2 evaluated, at the checkpoints only.
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
     params = joint_params(src, tgt)
     mu1 = compile_fn(simplify(tmap.mu1), ("t",), params)
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
-    with _fresh_normals(n_paths, K, seed) as take:
-        cols = _checkpoint_indices(K)
+    cols = _checkpoint_indices(K)
+    with _fresh_ensemble(tgt, n_paths, K, seed, cols) as fresh:
         times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols)
         slope = np.asarray(dmu1(times), dtype=float)
         if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
@@ -490,6 +515,6 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
             y0 = float(np.asarray(mu2(times[0], np.float64(x0)), dtype=float))
         aborted = aborted | ~np.all(np.isfinite(image), axis=0)
         grid = np.asarray(mu1(times), dtype=float)
-        fresh, fresh_aborted = _simulate_on_grid(tgt, y0, grid, take(), cols)
-    return _compare_ensembles(image, aborted, seed, grid[cols], fresh,
+        Z, fresh_aborted = fresh(y0, grid)
+    return _compare_ensembles(image, aborted, seed, grid[cols], Z,
                               fresh_aborted)

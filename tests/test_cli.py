@@ -222,6 +222,16 @@ class TestSymmetries:
         assert code == 2 and out == ""
         assert "exact constant of more than 1100 bits in subexpression" in err
 
+    def test_too_long_literal_exit_2(self, capsys, tmp_path):
+        # a literal of more digits than Python converts to an int is a
+        # parse error at its position, not a traceback
+        path = tmp_path / "long.prob"
+        path.write_text(open(prob("brownian.prob")).read().replace(
+            "phi = poly(x;1)", "phi = poly(x;1) + 0." + "1" * 5000 + "*x^2"))
+        code, out, err = run(capsys, "symmetries", str(path))
+        assert code == 2 and out == ""
+        assert "number '0.1111111111'... has too many digits to read exactly" in err
+
     def test_decimal_literals_print_as_exact_rationals(self, capsys, tmp_path):
         # a decimal literal is the exact rational of its text: the file
         # written with decimals prints as the one written with exact

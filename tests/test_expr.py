@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from sdesym import expr as ex
+from sdesym import expr as ex, problem
 from sdesym.expr import (
     ParseError,
     UnboundSymbolError,
@@ -80,6 +80,24 @@ class TestParse:
         assert p("1.0") == p("1") != ex.const(1.0)
         with pytest.raises(ParseError, match="'1e400' is beyond the float range"):
             p("2*1e400")
+
+    def test_too_many_digits_is_a_parse_error(self):
+        # Python converts at most 4,300 digits in a row to an int, so the
+        # exact rational of a longer literal cannot be built: the literal is
+        # refused at its position, and so is a param value
+        long = "0." + "1" * 5000
+        with pytest.raises(ParseError) as err:
+            p(f"x + {long}*x^2")
+        assert str(err.value) == ("number '0.1111111111'... has too many "
+                                  "digits to read exactly (at position 4)")
+        with pytest.raises(ParseError, match="too many digits"):
+            p("0." + "1" * 4301)
+        assert p("0." + "1" * 4300).value == Fraction(int("1" * 4300),
+                                                      10**4300)
+        with pytest.raises(problem.ProblemError) as err:
+            problem.parse_problem_text(f"[declare]\nparam a = {long}\n")
+        assert str(err.value) == (
+            f"<memory>:2: param a must be a finite number, got {long!r}")
 
     def test_scanner_classes_are_the_str_predicates(self):
         # per code point: a space is isspace(), a number starts with an

@@ -8,8 +8,11 @@ must reproduce every bit of them, NaNs included.
 The verifiers move paths only at the KS checkpoints.  The references
 `reference_verify_symmetry` and `reference_verify_map` move every cell of
 the ensemble, as the verifiers once did, and must print the same report.
+Their fresh ensemble is `reference_simulate`, or `reference_exact_law`
+when its drift and diffusion are constants.
 """
 
+import math
 import sys
 import threading
 
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from sdesym.determining import Sde, VectorField
-from sdesym.expr import compile_fn, diff, parse, simplify
+from sdesym.expr import compile_fn, diff, parse, simplify, variables_of
 from sdesym.numeric import (
     FRESH_SEED_OFFSET,
     KS_P_THRESHOLD,
@@ -27,6 +30,7 @@ from sdesym.numeric import (
     NumericError,
     _checkpoint_indices,
     _flow_image,
+    _fresh_ensemble,
     _simulate_on_grid,
     _simulate_uniform,
     _time_change,
@@ -70,6 +74,42 @@ def reference_simulate(sde, x0, times, n_paths, seed):
         nxt = np.where(alive, nxt, np.nan)
         X[:, k + 1] = nxt
     return times, X, ~alive
+
+
+def constant_coefficients(sde):
+    return not (variables_of(sde.drift) or variables_of(sde.diffusion))
+
+
+def reference_exact_law(sde, y0, times, n_paths, seed):
+    """(times, paths, aborted) of a constant-coefficient SDE, path-major like
+    reference_simulate, sampled from its exact law at the checkpoints only
+    (the other cells read NaN): Z_j = y0 + c (s_j - s_0) + sigma W(s_j - s_0),
+    W's increment to checkpoint j being row j of the normals of `seed`
+    times the square root of the time since the checkpoint before."""
+    times = np.asarray(times, dtype=float)
+    cols = _checkpoint_indices(times.size - 1)
+    params = sde.bound_params()
+    c = float(compile_fn(sde.drift, ("t", "x"), params)(0.0, 0.0))
+    sigma = float(compile_fn(sde.diffusion, ("t", "x"), params)(0.0, 0.0))
+    normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (len(cols), n_paths))
+    Z = np.full((n_paths, times.size), np.nan)
+    W, prev = None, times[0]
+    with np.errstate(all="ignore"):
+        for j, k in enumerate(cols):
+            dW = math.sqrt(times[k] - prev) * normals[j]
+            W = dW if W is None else W + dW
+            prev = times[k]
+            Z[:, k] = (y0 + c * (times[k] - times[0])) + sigma * W
+    aborted = ~np.all(np.isfinite(Z[:, cols]), axis=1)
+    Z[:, cols] = np.where(np.isfinite(Z[:, cols]), Z[:, cols], np.nan)
+    return times, Z, aborted
+
+
+def reference_fresh(sde, y0, times, n_paths, seed):
+    """The fresh ensemble of the verifiers, with the noise of `seed`."""
+    law = reference_exact_law if constant_coefficients(sde) else reference_simulate
+    return law(sde, y0, times, n_paths, seed)
 
 
 def philox_normals(seed, n_paths, K):
@@ -163,8 +203,8 @@ def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
         *simulate(sde, x0, h, K, n_paths, seed), v, eps, params)
     y0 = float(reference_flow(v, params, eps, 64, np.array(0.0),
                               np.array(x0))[2])
-    _, fresh, fresh_aborted = reference_simulate(sde, y0, beta, n_paths,
-                                                 seed + FRESH_SEED_OFFSET)
+    _, fresh, fresh_aborted = reference_fresh(sde, y0, beta, n_paths,
+                                              seed + FRESH_SEED_OFFSET)
     return reference_compare(beta, moved, aborted, fresh, fresh_aborted, seed)
 
 
@@ -180,8 +220,8 @@ def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
         y0 = float(np.asarray(mu2(0.0, np.float64(x0)), dtype=float))
     aborted = aborted | ~np.all(np.isfinite(Y), axis=1)
     moved = np.where(aborted[:, None], np.nan, Y)
-    _, fresh, fresh_aborted = reference_simulate(tgt, y0, s_times, n_paths,
-                                                 seed + FRESH_SEED_OFFSET)
+    _, fresh, fresh_aborted = reference_fresh(tgt, y0, s_times, n_paths,
+                                              seed + FRESH_SEED_OFFSET)
     return reference_compare(s_times, moved, aborted, fresh, fresh_aborted,
                              seed)
 
@@ -346,14 +386,27 @@ class TestNonFiniteTimes:
 VERIFY_SIZE = {"h": 2e-3, "K": 400, "n_paths": 700}
 VERIFY_SEEDS = (1, 2, 3, 7, 42)
 LANGEVIN = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
+# the fresh ensemble of Brownian motion is its exact law; Langevin's drift
+# and driftless GBM's diffusion mention x, so theirs are simulated
 SYMMETRIES = {
     "scaling": (BROWNIAN, VectorField(p("2*t"), p("x")), 0.2, 0.5),
     "langevin": (LANGEVIN, VectorField(phi=p("exp(a*t)")), 0.2, 1.0),
+    "driftless-gbm": (Sde(p("0"), p("x")), VectorField(phi=p("x")), 0.2, 1.0),
 }
 OU = Sde(p("x"), p("1"))
 MAPS = {
     "paper": TransformMap(parse("-1/2*exp(-2*t)"), parse("x*exp(-t)")),
     "wrong": TransformMap(parse("-1/2*exp(-2*t)"), parse("x")),
+}
+# (target, map, whether it maps OU onto the target): onto Brownian motion,
+# whose fresh ensemble is its exact law, and onto LANGEVIN, which is OU
+# itself and is simulated; Y = X + e^t solves it too, Y = 2X does not
+MAP_CASES = {
+    "paper": (BROWNIAN, MAPS["paper"], True),
+    "wrong": (BROWNIAN, MAPS["wrong"], False),
+    "langevin-shift": (LANGEVIN, TransformMap(parse("t"), parse("x + exp(t)")),
+                       True),
+    "langevin-wrong": (LANGEVIN, TransformMap(parse("t"), parse("2*x")), False),
 }
 
 
@@ -368,14 +421,14 @@ class TestCheckpointTransport:
         assert got.to_kv() == want.to_kv()
 
     @pytest.mark.parametrize("seed", VERIFY_SEEDS)
-    @pytest.mark.parametrize("name", sorted(MAPS))
+    @pytest.mark.parametrize("name", sorted(MAP_CASES))
     def test_verify_map_report_unchanged(self, name, seed):
-        got = verify_map(OU, BROWNIAN, MAPS[name], x0=1.0, seed=seed,
-                         **VERIFY_SIZE)
-        want = reference_verify_map(OU, BROWNIAN, MAPS[name], 1.0, seed=seed,
+        tgt, tmap, valid = MAP_CASES[name]
+        got = verify_map(OU, tgt, tmap, x0=1.0, seed=seed, **VERIFY_SIZE)
+        want = reference_verify_map(OU, tgt, tmap, 1.0, seed=seed,
                                     **VERIFY_SIZE)
         assert got.to_kv() == want.to_kv()
-        assert got.passed == (name == "paper")
+        assert got.passed == valid
 
     @pytest.mark.parametrize("eps", (0.2, -0.15))
     @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -465,27 +518,29 @@ class TestKeptRows:
         assert same_bits(sub, ref[:8].T)
 
 
-def _map_refusals():
+def _map_refusals(ref):
+    """The refusals of both verifiers, whose fresh ensemble is that of the
+    SDE `ref`: the target of each map, the SDE of each symmetry."""
     run = {"x0": 1.0, "seed": 1, **VERIFY_SIZE}
     return {
         "mu1 not increasing": lambda: verify_map(
-            OU, BROWNIAN, TransformMap(parse("-t"), parse("x")), **run),
+            OU, ref, TransformMap(parse("-t"), parse("x")), **run),
         "flow not finite": lambda: verify_symmetry(
-            BROWNIAN, VectorField(p("t^2"), p("x")), 1.5, x0=0.0, h=1e-2,
+            ref, VectorField(p("t^2"), p("x")), 1.5, x0=0.0, h=1e-2,
             K=100, n_paths=16, seed=1),
         "y0 not finite": lambda: verify_map(
-            OU, BROWNIAN, TransformMap(parse("t"), parse("1/x")),
+            OU, ref, TransformMap(parse("t"), parse("1/x")),
             **{**run, "x0": 0.0}),
-        "h <= 0 (map)": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+        "h <= 0 (map)": lambda: verify_map(OU, ref, MAPS["paper"],
                                            **{**run, "h": 0.0}),
         "h <= 0 (symmetry)": lambda: verify_symmetry(
-            BROWNIAN, FIELDS["scaling"], 0.2, **{**run, "h": -1e-3}),
-        "K < 0": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+            ref, FIELDS["scaling"], 0.2, **{**run, "h": -1e-3}),
+        "K < 0": lambda: verify_map(OU, ref, MAPS["paper"],
                                     **{**run, "K": -5}),
-        "no paths (map)": lambda: verify_map(OU, BROWNIAN, MAPS["paper"],
+        "no paths (map)": lambda: verify_map(OU, ref, MAPS["paper"],
                                              **{**run, "n_paths": 0}),
         "no paths (symmetry)": lambda: verify_symmetry(
-            BROWNIAN, FIELDS["scaling"], 0.2, **{**run, "n_paths": 0}),
+            ref, FIELDS["scaling"], 0.2, **{**run, "n_paths": 0}),
     }
 
 
@@ -502,14 +557,15 @@ REFUSALS = {
 
 
 class TestFreshNoiseThread:
-    """Each verifier draws the fresh ensemble's noise on one worker thread
-    and joins it on every path out."""
+    """Each verifier whose fresh ensemble is simulated (here Langevin, whose
+    drift mentions x) draws its noise on one worker thread and joins it on
+    every path out."""
 
     def verifiers(self):
-        sde, v, eps, x0 = SYMMETRIES["scaling"]
+        sde, v, eps, x0 = SYMMETRIES["langevin"]
+        tgt, tmap, _ = MAP_CASES["langevin-shift"]
         yield lambda: verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
-        yield lambda: verify_map(OU, BROWNIAN, MAPS["paper"], x0=1.0, seed=3,
-                                 **VERIFY_SIZE)
+        yield lambda: verify_map(OU, tgt, tmap, x0=1.0, seed=3, **VERIFY_SIZE)
 
     def test_one_worker_joined_per_call(self, monkeypatch):
         started = []
@@ -534,7 +590,7 @@ class TestFreshNoiseThread:
         before = threading.active_count()
         error, message = REFUSALS[name]
         with pytest.raises(error, match=message):
-            _map_refusals()[name]()
+            _map_refusals(LANGEVIN)[name]()
         assert threading.active_count() == before
         assert failed == []   # a failed draw on the worker is not printed
 
@@ -576,3 +632,76 @@ class TestFreshNoiseThread:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == want
+
+
+class TestExactReference:
+    """A fresh ensemble of constant drift and diffusion is its exact law at
+    the checkpoints: no worker thread, the same refusals, and the moments
+    of that law."""
+
+    def test_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        sde, v, eps, x0 = SYMMETRIES["scaling"]
+        verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
+        verify_map(OU, BROWNIAN, MAPS["paper"], x0=1.0, seed=3, **VERIFY_SIZE)
+        assert started == []
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_same_refusals(self, name, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        error, message = REFUSALS[name]
+        with pytest.raises(error, match=message):
+            _map_refusals(BROWNIAN)[name]()
+        assert started == []
+
+    @pytest.mark.parametrize("ref", [BROWNIAN, LANGEVIN], ids=["exact", "euler"])
+    @pytest.mark.parametrize("y0, grid, message", [
+        (0.0, [0.0, 1.0, np.inf], "time grid must be finite"),
+        (0.0, [0.0, 1.0, 1.0], "time grid must be finite"),
+        (np.inf, [0.0, 1.0, 2.0], "initial state inf is not finite"),
+        (np.inf, [0.0, np.nan, 2.0], "time grid must be finite"),
+    ])
+    def test_fresh_refusals(self, ref, y0, grid, message):
+        with _fresh_ensemble(ref, 4, 2, 1, [1, 2]) as fresh:
+            with pytest.raises(NumericError, match=message):
+                fresh(y0, np.array(grid))
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_bit_identical_to_the_reference(self, n_paths):
+        # coefficients of parameters, a zero diffusion, an infinite drift,
+        # and a start so large that some states overflow, on a non-uniform
+        # grid from s_0 = 0.3
+        grid = 0.3 + np.cumsum(np.linspace(1e-3, 3e-3, 41))
+        rows = _checkpoint_indices(40)
+        for sde, y0 in [(Sde(p("a"), p("-b/2"), {"a": -0.7, "b": 3.0}), 0.25),
+                        (Sde(p("2"), p("0")), 0.25),
+                        (Sde(p("1e308*exp(a)"), p("1"), {"a": 50.0}), 0.25),
+                        (Sde(p("0"), p("1e308")), 1.7e308)]:
+            with _fresh_ensemble(sde, n_paths, 40, 9, rows) as fresh:
+                Z, aborted = fresh(y0, grid)
+            _, want, want_aborted = reference_exact_law(
+                sde, y0, grid, n_paths, 9 + FRESH_SEED_OFFSET)
+            assert same_bits(Z, want[:, rows].T)
+            assert same(aborted, want_aborted)
+            assert np.all(np.isnan(Z[:, aborted]).any(axis=0))
+            if y0 > 1 and n_paths == 2000:
+                assert 0 < aborted.sum() < n_paths
+
+    def test_moments(self):
+        # c = -0.7, sigma = 1.5 on a non-uniform grid: each checkpoint's
+        # sample mean and variance within 5 standard errors of
+        # y0 + c (s_j - s_0) and sigma^2 (s_j - s_0)
+        c, sigma, y0, n = -0.7, 1.5, 0.4, 20000
+        sde = Sde(p("a"), p("b"), {"a": c, "b": sigma})
+        grid = 0.5 + np.cumsum(np.linspace(1e-3, 9e-3, 201)) ** 2
+        rows = _checkpoint_indices(200)
+        with _fresh_ensemble(sde, n, 200, 17, rows) as fresh:
+            Z, aborted = fresh(y0, grid)
+        assert Z.shape == (len(rows), n) and not aborted.any()
+        for z, k in zip(Z, rows):
+            span = grid[k] - grid[0]
+            var = sigma**2 * span
+            assert abs(z.mean() - (y0 + c * span)) < 5 * math.sqrt(var / n)
+            assert abs(z.var(ddof=1) - var) < 5 * var * math.sqrt(2 / (n - 1))
