@@ -3,9 +3,9 @@
 Simulates SDE path ensembles (Euler-Maruyama, counter-based Philox noise),
 applies deterministic symmetry flows with the accompanying time change,
 and statistically compares transformed ensembles against fresh ensembles
-with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.  A fresh
-ensemble of constant drift and diffusion is drawn from its exact law (the
-law Euler-Maruyama samples then too), any other is simulated.
+with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.  Both
+ensembles of a linear SDE (`_linear_law`) are drawn from its exact law at
+the grid times read, any other's are simulated.
 
 Stochastic generators (phitilde != 0) are certified by direct residual
 evaluation of the determining system; flow-based simulation is offered for
@@ -23,7 +23,7 @@ import numpy as np
 
 from .ansatz import DEFAULT_WINDOW, VERIFY_TOL, _max_abs, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
-from .expr import compile_fn, diff, evaluate_points, simplify, variables_of
+from .expr import compile_fn, diff, evaluate_points, mul, simplify, var, variables_of
 from .transform import TransformMap
 
 FRESH_SEED_OFFSET = 1_000_003
@@ -103,15 +103,65 @@ def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
 
 
 def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
-                      seed: int, rows):
-    """(times, X, aborted) of `_simulate_on_grid` on the grid times = k h,
-    driven by the normals of `seed`: path i's depend on (seed, i, K) only."""
+                      seed: int, rows, law=None):
+    """(times, X, aborted) on the grid times = k h from the normals of `seed`,
+    by `law` (`_linear_law`'s) or else `_simulate_on_grid`, whose path i's
+    normals depend on (seed, i, K) only."""
     if h <= 0:
         raise NumericError("step size h must be positive")
     times = _grid(np.arange(K + 1, dtype=float) * h)
-    normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
-        (n_paths, K))
-    return (times, *_simulate_on_grid(sde, x0, times, normals, rows))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return (times, *(law(rng, n_paths, x0, times, rows) if law else _simulate_on_grid(
+        sde, x0, times, rng.standard_normal((n_paths, K)), rows)))
+
+
+def _linear_law(sde: Sde):
+    """law(rng, n_paths, y0, grid, rows) -> (X, aborted) as `_simulate_on_grid`
+    gives them, from one (len(rows), n_paths) draw of rng by the exact law
+    (Kloeden & Platen 1992, 4.2) of an sde with drift a x + b and diffusion
+    sigma (OU) or c x (GBM, b = 0), a, b, c, sigma free of t and x, or None."""
+    a, c = diff(sde.drift, "x"), diff(sde.diffusion, "x")
+    # b = f - a x and sigma = g - c x, the terms as written if free of x
+    b, sigma = (e if not variables_of(e) else simplify(e - mul(d, var("x")))
+                for e, d in ((sde.drift, a), (sde.diffusion, c)))
+    gbm = not c.is_zero()
+    if (any(map(variables_of, (a, b, c, sigma)))
+            or gbm and not (b.is_zero() and sigma.is_zero())):
+        return None
+
+    def law(rng, n_paths, y0, grid, rows):
+        s = _grid(grid)[[0, *rows]]
+        if not math.isfinite(y0):
+            raise NumericError(f"initial state {y0} is not finite")
+        a_, b_, c_, sigma_ = (compile_fn(e, (), sde.bound_params())()
+                              for e in (a, b, c, sigma))
+        span, N = (s[1:] - s[0])[:, None], rng.standard_normal((len(rows), n_paths))
+        with np.errstate(all="ignore"):
+            if gbm:
+                X = y0 * np.exp((a_ - c_ * c_ / 2) * span + c_ * _ou_noise(0.0, s, N))
+            else:
+                X = (y0 + b_ * span if a_ == 0 else y0 * np.exp(a_ * span)
+                     + b_ / a_ * np.expm1(a_ * span)) + sigma_ * _ou_noise(a_, s, N)
+        X[~np.isfinite(X)] = np.nan
+        return X, np.isnan(X).any(axis=0)
+    return law
+
+
+def _ou_noise(a: float, s, normals) -> np.ndarray:
+    """M_j = sum_{k <= j} e^{a (s_j - s_k)} sqrt(v_k) N_k at s[1:], v_k the exact
+    variance of step k: dM = a M dt + dW from M(s[0]) = 0, one cumsum per block
+    of times within 300/|a| of its first, so that no factor leaves the float range."""
+    steps = np.diff(s)
+    v = steps if a == 0 else np.expm1(2 * a * steps) / (2 * a)
+    inc = normals * np.sqrt(v)[:, None]
+    M, r = np.zeros((len(s), normals.shape[1])), 0   # M[r] at s[r]
+    while r < len(inc):
+        end = np.searchsorted(s, s[r + 1] + 300 / abs(a), "right") - 1 if a else len(inc)
+        g = np.exp(a * (s[r + 1:end + 1] - s[r + 1]))[:, None]
+        M[r + 1:end + 1] = g * (np.cumsum(inc[r:end] / g, axis=0)
+                                + np.exp(a * steps[r]) * M[r])
+        r = end
+    return M[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +462,15 @@ def _fresh_ensemble(sde: Sde, n_paths: int, K: int, seed: int, rows):
     from y0 on `grid` at the grid rows `rows`, from the noise of
     seed + FRESH_SEED_OFFSET.  Fewer than one path is refused first.
 
-    With constant drift c and diffusion sigma (neither mentions t or x) it
-    is the exact law, Z_j = y0 + c (s_j - s_0) + sigma W(s_j - s_0) at
-    s = grid[[0, *rows]] from a (len(rows), n_paths) draw, with no thread.
-    Otherwise it is `_simulate_on_grid`, its (n_paths, K) normals drawn
-    meanwhile on a thread that calls numpy only, joined by fresh() and on
-    every way out; fresh() draws again if that draw raised."""
+    A linear sde is drawn from its exact law (`_linear_law`), with no
+    thread.  Any other is `_simulate_on_grid`, its (n_paths, K) normals
+    drawn meanwhile on a thread that calls numpy only, joined by fresh()
+    and on every way out; fresh() draws again if that draw raised."""
     if n_paths < 1:
         raise NumericError(f"need at least 1 path, got {n_paths}")
     rng = np.random.Generator(np.random.Philox(key=seed + FRESH_SEED_OFFSET))
-    if not (variables_of(sde.drift) or variables_of(sde.diffusion)):
-        def exact(y0, grid):
-            s = _grid(grid)[[0, *rows]]
-            if not math.isfinite(y0):
-                raise NumericError(f"initial state {y0} is not finite")
-            c, sigma = (compile_fn(e, (), sde.bound_params())()
-                        for e in (sde.drift, sde.diffusion))
-            W = np.cumsum(rng.standard_normal((len(rows), n_paths))
-                          * np.sqrt(np.diff(s))[:, None], axis=0)
-            with np.errstate(all="ignore"):
-                Z = (y0 + c * (s[1:] - s[0]))[:, None] + sigma * W
-            bad = ~np.isfinite(Z)
-            Z[bad] = np.nan
-            return Z, bad.any(axis=0)
-        yield exact
+    if law := _linear_law(sde):
+        yield lambda y0, grid: law(rng, n_paths, y0, grid, rows)
         return
     import threading  # numpy has loaded it already
     box = []
@@ -464,19 +499,19 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
                     n_paths: int = 2000, seed: int = 0) -> KSReport:
     """Distributional check that the flow of v maps solutions to solutions.
 
-    Simulates the SDE, transports the ensemble along the flow of v, and
-    compares its marginals (4 checkpoints, two-sample KS) against a fresh
-    ensemble of the same SDE (`_fresh_ensemble`) started at the transformed
-    initial state on the image time grid.  The time change and its checks
-    run on the whole grid; the paths are kept and moved at the checkpoints
-    only.
+    Draws the SDE's ensemble (from its exact law if it is linear, see
+    `_linear_law`), transports it along the flow of v, and compares its
+    marginals (4 checkpoints, two-sample KS) against a fresh ensemble of
+    the same SDE (`_fresh_ensemble`) from the transformed initial state on
+    the image time grid.  The time change and its checks run on the whole
+    grid; the paths are kept and moved at the checkpoints only.
     """
     cols = _checkpoint_indices(K)
     with _fresh_ensemble(sde, n_paths, K, seed, cols) as fresh:
-        times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols)
-        # the step-halving check's paths: the first 8, with the same normals
-        sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed,
-                                range(K + 1))[1]
+        law = _linear_law(sde)
+        times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols, law)
+        # the step-halving check's paths (a simulated source's first 8)
+        sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed, range(K + 1), law)[1]
         beta, image, aborted = _flow_image(v, eps, sde.bound_params(), times,
                                            sub, cols, X, aborted)
         # every path starts at x0, so the moved first cell is the image of x0
@@ -490,11 +525,11 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
                n_paths: int = 2000, seed: int = 0) -> KSReport:
     """Distributional check that mu maps src solutions to tgt solutions.
 
-    Source paths X(t_k) become Y_k = mu2(t_k, X(t_k)) at times s_k =
-    mu1(t_k); their marginals are compared at 4 checkpoints by two-sample
-    KS with a fresh target ensemble (`_fresh_ensemble`) on {s_k} from
-    mu2(0, x0).  mu1 is checked on the whole grid; the paths are kept, and
-    mu2 evaluated, at the checkpoints only.
+    Source paths X(t_k) (exact-law draws if src is linear, `_linear_law`)
+    become Y_k = mu2(t_k, X(t_k)) at s_k = mu1(t_k); their marginals are
+    compared at 4 checkpoints by two-sample KS with a fresh target ensemble
+    (`_fresh_ensemble`) on {s_k} from mu2(0, x0).  mu1 is checked on the
+    whole grid; the paths are kept, and mu2 evaluated, at the checkpoints only.
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
@@ -503,7 +538,8 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
     cols = _checkpoint_indices(K)
     with _fresh_ensemble(tgt, n_paths, K, seed, cols) as fresh:
-        times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols)
+        times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols,
+                                              _linear_law(src))
         slope = np.asarray(dmu1(times), dtype=float)
         if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
             raise NumericError("mu1 is not strictly increasing on the window")

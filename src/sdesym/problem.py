@@ -255,9 +255,12 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
             if kind == "param":
                 try:  # the exact rational of the value, a number in the float range
                     params[nm] = _exact_number(val) if eq else None
-                except (ValueError, OverflowError):
-                    raise ProblemError(f"{where}: param {nm} must be a finite "
-                                       f"number, got {val!r}") from None
+                except (ValueError, OverflowError) as err:
+                    num = val[1:] if val[:1] in "+-" else val  # float() read it
+                    why = (f"= {val[:12]!r}... has too many digits to read exactly"
+                           if isinstance(err, ValueError) and _tokens(num)[0][:2] == ("num", num)
+                           else f"must be a finite number, got {val!r}")
+                    raise ProblemError(f"{where}: param {nm} {why}") from None
             elif nm not in variables:
                 variables.append(nm)
         else:

@@ -96,8 +96,16 @@ class TestParse:
                                                       10**4300)
         with pytest.raises(problem.ProblemError) as err:
             problem.parse_problem_text(f"[declare]\nparam a = {long}\n")
-        assert str(err.value) == (
-            f"<memory>:2: param a must be a finite number, got {long!r}")
+        assert str(err.value) == ("<memory>:2: param a = '0.1111111111'... "
+                                  "has too many digits to read exactly")
+        # a signed value too; a malformed one keeps its message
+        with pytest.raises(problem.ProblemError, match="too many digits"):
+            problem.parse_problem_text(f"[declare]\nparam a = -{long}\n")
+        for bad in ("abc", "--1", "1.2.3"):
+            with pytest.raises(problem.ProblemError) as err:
+                problem.parse_problem_text(f"[declare]\nparam a = {bad}\n")
+            assert str(err.value) == (
+                f"<memory>:2: param a must be a finite number, got {bad!r}")
 
     def test_scanner_classes_are_the_str_predicates(self):
         # per code point: a space is isspace(), a number starts with an

@@ -284,7 +284,7 @@ class TestVerifySymmetry:
         # symmetry at most 1% of seeds
         lg = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
         rep = verify_symmetry(lg, VectorField(phi=p("exp(a*t)")), 0.2,
-                              x0=1.0, h=1e-3, K=1000, n_paths=2000, seed=42)
+                              x0=1.0, h=1e-3, K=1000, n_paths=2000, seed=168)
         assert len(rep.checkpoints) == 4
         assert rep.p_threshold / 4 < rep.checkpoints[0].p_value < rep.p_threshold
         assert rep.passed
@@ -335,7 +335,9 @@ class TestVerifyMap:
                             parse("x*exp(-alpha*t)", parameters=("alpha",)))
         import sdesym.numeric as numeric
 
-        monkeypatch.setattr(numeric, "_simulate_uniform", lambda *a: pytest.fail())
+        # the source alpha*x is linear, so it would be drawn from its exact law
+        for name in ("_simulate_uniform", "_linear_law"):
+            monkeypatch.setattr(numeric, name, lambda *a: pytest.fail())
         with pytest.raises(ParameterClashError) as err:
             verify_map(src, tgt, tmap, x0=1.0, h=1e-3, K=100, n_paths=100, seed=0)
         assert isinstance(err.value, NumericError)

@@ -8,8 +8,13 @@ must reproduce every bit of them, NaNs included.
 The verifiers move paths only at the KS checkpoints.  The references
 `reference_verify_symmetry` and `reference_verify_map` move every cell of
 the ensemble, as the verifiers once did, and must print the same report.
-Their fresh ensemble is `reference_simulate`, or `reference_exact_law`
-when its drift and diffusion are constants.
+Both of their ensembles, the source (`reference_source`) and the fresh one
+(`reference_fresh`), step through the exact law (`reference_exact_law`) of
+a linear SDE, whose coefficients sympy reads, and are simulated by
+`reference_simulate` otherwise.  The production exact law sums from the
+start rather than step by step, so it agrees with that loop to rounding
+(bit for bit when a = 0); the KS statistics read only the order of the
+samples, so the reports are the same.
 """
 
 import math
@@ -18,9 +23,11 @@ import threading
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from sdesym.determining import Sde, VectorField
-from sdesym.expr import compile_fn, diff, parse, simplify, variables_of
+from sdesym.expr import compile_fn, diff, parse, simplify
+from sdesym import numeric
 from sdesym.numeric import (
     FRESH_SEED_OFFSET,
     KS_P_THRESHOLD,
@@ -40,6 +47,8 @@ from sdesym.numeric import (
     verify_symmetry,
 )
 from sdesym.transform import TransformMap
+
+from conftest import to_sympy
 
 P = ("a", "b")
 
@@ -76,40 +85,88 @@ def reference_simulate(sde, x0, times, n_paths, seed):
     return times, X, ~alive
 
 
-def constant_coefficients(sde):
-    return not (variables_of(sde.drift) or variables_of(sde.diffusion))
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def reference_exact_law(sde, y0, times, n_paths, seed):
-    """(times, paths, aborted) of a constant-coefficient SDE, path-major like
-    reference_simulate, sampled from its exact law at the checkpoints only
-    (the other cells read NaN): Z_j = y0 + c (s_j - s_0) + sigma W(s_j - s_0),
-    W's increment to checkpoint j being row j of the normals of `seed`
-    times the square root of the time since the checkpoint before."""
+def linear_coefficients(sde):
+    """("ou", a, b, sigma) of drift a x + b and diffusion sigma, ("gbm", a,
+    c) of drift a x and diffusion c x, or None: read by sympy, with the
+    parameters bound."""
+    x, t = sp.symbols("x t")
+    bound = {sp.Symbol(k): v for k, v in sde.bound_params().items()}
+    f, g = (sp.simplify(to_sympy(e).subs(bound))
+            for e in (sde.drift, sde.diffusion))
+    a, c = sp.diff(f, x), sp.diff(g, x)
+    if f.has(t) or g.has(t) or a.has(x) or c.has(x):
+        return None
+    b = f.subs(x, 0)
+    if c == 0:
+        return "ou", float(a), float(b), float(g)
+    return ("gbm", float(a), float(c)) if b == 0 and g.subs(x, 0) == 0 else None
+
+
+def reference_exact_law(sde, y0, times, n_paths, rng, rows=None):
+    """(times, paths, aborted) of a linear sde, path-major like
+    reference_simulate, from its exact law at the grid columns `rows` (the
+    checkpoints by default; the other cells read NaN).  The law steps from
+    y0 at times[0] to each column in turn, driven by one row of a
+    (len(rows), n_paths) draw of `rng` per step (Kloeden & Platen 1992,
+    4.2): OU moves X to X e^{a D} + (b/a)(e^{a D} - 1) + sigma sqrt((e^{2 a D}
+    - 1)/(2 a)) N over a step D, and GBM to X exp((a - c^2/2) D + c sqrt(D)
+    N).  An OU law with a = 0 is Z_j = y0 + b (s_j - s_0) + sigma W(s_j -
+    s_0), W summed from the steps' sqrt(D) N."""
     times = np.asarray(times, dtype=float)
-    cols = _checkpoint_indices(times.size - 1)
-    params = sde.bound_params()
-    c = float(compile_fn(sde.drift, ("t", "x"), params)(0.0, 0.0))
-    sigma = float(compile_fn(sde.diffusion, ("t", "x"), params)(0.0, 0.0))
-    normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
-        (len(cols), n_paths))
+    rows = list(_checkpoint_indices(times.size - 1) if rows is None else rows)
+    kind, a, *rest = linear_coefficients(sde)
+    normals = rng.standard_normal((len(rows), n_paths))
     Z = np.full((n_paths, times.size), np.nan)
-    W, prev = None, times[0]
+    X, W, prev = np.full(n_paths, float(y0)), 0.0, times[0]
     with np.errstate(all="ignore"):
-        for j, k in enumerate(cols):
-            dW = math.sqrt(times[k] - prev) * normals[j]
-            W = dW if W is None else W + dW
+        for j, k in enumerate(rows):
+            D = times[k] - prev
             prev = times[k]
-            Z[:, k] = (y0 + c * (times[k] - times[0])) + sigma * W
-    aborted = ~np.all(np.isfinite(Z[:, cols]), axis=1)
-    Z[:, cols] = np.where(np.isfinite(Z[:, cols]), Z[:, cols], np.nan)
+            if kind == "gbm":
+                c, = rest
+                X = X * np.exp((a - c * c / 2) * D + c * math.sqrt(D) * normals[j])
+            elif a == 0:
+                b, sigma = rest
+                dW = math.sqrt(D) * normals[j]
+                W = dW if j == 0 else W + dW
+                X = (y0 + b * (times[k] - times[0])) + sigma * W
+            else:
+                b, sigma = rest
+                X = (X * math.exp(a * D) + b / a * (math.exp(a * D) - 1)
+                     + sigma * math.sqrt((math.exp(2 * a * D) - 1) / (2 * a))
+                     * normals[j])
+            Z[:, k] = X
+    aborted = ~np.all(np.isfinite(Z[:, rows]), axis=1)
+    Z[:, rows] = np.where(np.isfinite(Z[:, rows]), Z[:, rows], np.nan)
     return times, Z, aborted
 
 
 def reference_fresh(sde, y0, times, n_paths, seed):
     """The fresh ensemble of the verifiers, with the noise of `seed`."""
-    law = reference_exact_law if constant_coefficients(sde) else reference_simulate
-    return law(sde, y0, times, n_paths, seed)
+    if linear_coefficients(sde) is None:
+        return reference_simulate(sde, y0, times, n_paths, seed)
+    return reference_exact_law(sde, y0, times, n_paths, philox(seed))
+
+
+def reference_source(sde, x0, h, K, n_paths, seed):
+    """(times, paths, aborted, sub, kept) of the verifiers' source ensemble,
+    read at the grid columns `kept`.  A linear sde's paths are its exact law
+    at the checkpoints, and its step-halving subsample `sub` is min(8,
+    n_paths) paths of it at every grid time, each from the noise of `seed`;
+    any other sde is simulated, and `sub` is its first 8 paths."""
+    if linear_coefficients(sde) is None:
+        times, paths, aborted = simulate(sde, x0, h, K, n_paths, seed)
+        return times, paths, aborted, paths[:8], slice(None)
+    times = np.arange(K + 1) * h
+    _, paths, aborted = reference_exact_law(sde, x0, times, n_paths,
+                                            philox(seed))
+    sub = reference_exact_law(sde, x0, times, min(8, n_paths), philox(seed),
+                              range(K + 1))[1]
+    return times, paths, aborted, sub, _checkpoint_indices(K)
 
 
 def philox_normals(seed, n_paths, K):
@@ -162,17 +219,18 @@ def reference_flow(v, params, eps, n_sub, times, states=None):
     return beta, J, F
 
 
-def reference_flow_image(times, paths, aborted, v, eps, params):
+def reference_flow_image(times, paths, aborted, v, eps, params, sub, kept):
     """(beta, moved paths, aborted): every cell of the path-major ensemble
-    moved, with the checks of the verifier; a path is dropped, and reads
-    NaN, when its image is non-finite at any grid time."""
+    moved, with the checks of the verifier, whose step-halving check moves
+    the paths `sub`; a path is dropped, and reads NaN, when its image is
+    non-finite at any of the grid columns `kept`."""
     beta, J, F = reference_flow(v, params, eps, 64, times, paths)
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
-    sub = paths[:8]
+    sub1 = reference_flow(v, params, eps, 64, times, sub)[2]
     beta2, _, sub2 = reference_flow(v, params, eps, 128, times, sub)
     with np.errstate(invalid="ignore"):
-        diffs = np.abs(sub2 - F[: sub.shape[0]])
+        diffs = np.abs(sub2 - sub1)
     conv = max(float(np.max(np.abs(beta - beta2))),
                float(np.max(diffs[np.isfinite(diffs)], initial=0.0)))
     if conv > 1e-8:
@@ -180,7 +238,7 @@ def reference_flow_image(times, paths, aborted, v, eps, params):
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    aborted = aborted | ~np.all(np.isfinite(F), axis=1)
+    aborted = aborted | ~np.all(np.isfinite(F[:, kept]), axis=1)
     return beta, np.where(aborted[:, None], np.nan, F), aborted
 
 
@@ -199,8 +257,10 @@ def reference_compare(times, moved, aborted, fresh, fresh_aborted, seed):
 
 def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
     params = sde.bound_params()
-    beta, moved, aborted = reference_flow_image(
-        *simulate(sde, x0, h, K, n_paths, seed), v, eps, params)
+    times, paths, aborted, sub, kept = reference_source(sde, x0, h, K,
+                                                        n_paths, seed)
+    beta, moved, aborted = reference_flow_image(times, paths, aborted, v, eps,
+                                                params, sub, kept)
     y0 = float(reference_flow(v, params, eps, 64, np.array(0.0),
                               np.array(x0))[2])
     _, fresh, fresh_aborted = reference_fresh(sde, y0, beta, n_paths,
@@ -210,7 +270,8 @@ def reference_verify_symmetry(sde, v, eps, x0, h, K, n_paths, seed):
 
 def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
     params = {**src.bound_params(), **tgt.bound_params()}
-    times, paths, aborted = simulate(src, x0, h, K, n_paths, seed)
+    times, paths, aborted, _, kept = reference_source(src, x0, h, K, n_paths,
+                                                      seed)
     s_times = np.asarray(compile_fn(simplify(tmap.mu1), ("t",), params)(times),
                          dtype=float)
     mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
@@ -218,7 +279,7 @@ def reference_verify_map(src, tgt, tmap, x0, h, K, n_paths, seed):
         Y = np.asarray(mu2(np.broadcast_to(times, paths.shape), paths),
                        dtype=float)
         y0 = float(np.asarray(mu2(0.0, np.float64(x0)), dtype=float))
-    aborted = aborted | ~np.all(np.isfinite(Y), axis=1)
+    aborted = aborted | ~np.all(np.isfinite(Y[:, kept]), axis=1)
     moved = np.where(aborted[:, None], np.nan, Y)
     _, fresh, fresh_aborted = reference_fresh(tgt, y0, s_times, n_paths,
                                               seed + FRESH_SEED_OFFSET)
@@ -386,27 +447,42 @@ class TestNonFiniteTimes:
 VERIFY_SIZE = {"h": 2e-3, "K": 400, "n_paths": 700}
 VERIFY_SEEDS = (1, 2, 3, 7, 42)
 LANGEVIN = Sde(p("a*x"), p("b"), {"a": 1.0, "b": 1.0})
-# the fresh ensemble of Brownian motion is its exact law; Langevin's drift
-# and driftless GBM's diffusion mention x, so theirs are simulated
+AXINV = Sde(p("a/x"), p("1"), {"a": 1.0})
+SCALING = VectorField(p("2*t"), p("x"))
+# both ensembles of Brownian motion, Langevin, GBM and a stiff OU (whose
+# every-grid-time subsample spans more than 300/|a|) are their exact laws;
+# those of axinv and the t-dependent SDE are simulated
 SYMMETRIES = {
-    "scaling": (BROWNIAN, VectorField(p("2*t"), p("x")), 0.2, 0.5),
+    "scaling": (BROWNIAN, SCALING, 0.2, 0.5),
     "langevin": (LANGEVIN, VectorField(phi=p("exp(a*t)")), 0.2, 1.0),
     "driftless-gbm": (Sde(p("0"), p("x")), VectorField(phi=p("x")), 0.2, 1.0),
+    "gbm": (SDES["gbm"], VectorField(phi=p("x")), 0.2, 1.0),
+    "stiff-ou": (Sde(p("a*x"), p("1"), {"a": -400.0}),
+                 VectorField(phi=p("exp(a*t)")), 0.2, 1.0),
+    "axinv": (AXINV, SCALING, 0.2, 1.0),
+    "t-dependent": (SDES["t-dependent"], FIELDS["constant"], 0.2, 0.5),
 }
 OU = Sde(p("x"), p("1"))
 MAPS = {
     "paper": TransformMap(parse("-1/2*exp(-2*t)"), parse("x*exp(-t)")),
     "wrong": TransformMap(parse("-1/2*exp(-2*t)"), parse("x")),
+    "identity": TransformMap(parse("t"), parse("x")),
 }
-# (target, map, whether it maps OU onto the target): onto Brownian motion,
-# whose fresh ensemble is its exact law, and onto LANGEVIN, which is OU
-# itself and is simulated; Y = X + e^t solves it too, Y = 2X does not
+# (source, target, map, whether it maps the source onto the target): OU
+# onto Brownian motion and onto LANGEVIN, which is OU itself (Y = X + e^t
+# solves it too, Y = 2X does not), whose ensembles are exact laws; and
+# axinv and the t-dependent SDE, whose ensembles are simulated
 MAP_CASES = {
-    "paper": (BROWNIAN, MAPS["paper"], True),
-    "wrong": (BROWNIAN, MAPS["wrong"], False),
-    "langevin-shift": (LANGEVIN, TransformMap(parse("t"), parse("x + exp(t)")),
-                       True),
-    "langevin-wrong": (LANGEVIN, TransformMap(parse("t"), parse("2*x")), False),
+    "paper": (OU, BROWNIAN, MAPS["paper"], True),
+    "wrong": (OU, BROWNIAN, MAPS["wrong"], False),
+    "langevin-shift": (OU, LANGEVIN,
+                       TransformMap(parse("t"), parse("x + exp(t)")), True),
+    "langevin-wrong": (OU, LANGEVIN, TransformMap(parse("t"), parse("2*x")),
+                       False),
+    "axinv-identity": (AXINV, AXINV, MAPS["identity"], True),
+    "axinv-onto-brownian": (AXINV, BROWNIAN, MAPS["identity"], False),
+    "t-dependent-identity": (SDES["t-dependent"], SDES["t-dependent"],
+                             MAPS["identity"], True),
 }
 
 
@@ -423,9 +499,9 @@ class TestCheckpointTransport:
     @pytest.mark.parametrize("seed", VERIFY_SEEDS)
     @pytest.mark.parametrize("name", sorted(MAP_CASES))
     def test_verify_map_report_unchanged(self, name, seed):
-        tgt, tmap, valid = MAP_CASES[name]
-        got = verify_map(OU, tgt, tmap, x0=1.0, seed=seed, **VERIFY_SIZE)
-        want = reference_verify_map(OU, tgt, tmap, 1.0, seed=seed,
+        src, tgt, tmap, valid = MAP_CASES[name]
+        got = verify_map(src, tgt, tmap, x0=1.0, seed=seed, **VERIFY_SIZE)
+        want = reference_verify_map(src, tgt, tmap, 1.0, seed=seed,
                                     **VERIFY_SIZE)
         assert got.to_kv() == want.to_kv()
         assert got.passed == valid
@@ -475,12 +551,13 @@ class TestCheckpointTransport:
     @pytest.mark.parametrize("pole, dropped", [("3/8", 0), ("1/4", 600)])
     def test_verify_symmetry_drops_at_checkpoints_only(self, pole, dropped):
         # every image is infinite at the pole t = 3/8 (between checkpoints)
-        # or t = 1/4 (a checkpoint); the whole-grid reference drops every
-        # path in both cases
+        # or t = 1/4 (a checkpoint); the whole-grid reference of a simulated
+        # source drops every path in both cases
         v = VectorField(p("0"), p(f"1/(t - {pole})"))
         size = {"x0": 0.0, "h": 0.125, "K": 8, "n_paths": 600, "seed": 3}
-        assert verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == dropped
-        assert reference_verify_symmetry(BROWNIAN, v, 0.1, **size).aborted == 600
+        sde = SDES["t-dependent"]
+        assert verify_symmetry(sde, v, 0.1, **size).aborted == dropped
+        assert reference_verify_symmetry(sde, v, 0.1, **size).aborted == 600
 
 
 KEPT_PATH_COUNTS = (1, 8, 33, 2000)
@@ -557,15 +634,15 @@ REFUSALS = {
 
 
 class TestFreshNoiseThread:
-    """Each verifier whose fresh ensemble is simulated (here Langevin, whose
-    drift mentions x) draws its noise on one worker thread and joins it on
-    every path out."""
+    """Each verifier whose fresh ensemble is simulated (here axinv's, whose
+    drift a/x is not linear) draws its noise on one worker thread and joins
+    it on every path out."""
 
     def verifiers(self):
-        sde, v, eps, x0 = SYMMETRIES["langevin"]
-        tgt, tmap, _ = MAP_CASES["langevin-shift"]
+        sde, v, eps, x0 = SYMMETRIES["axinv"]
+        src, tgt, tmap, _ = MAP_CASES["axinv-identity"]
         yield lambda: verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
-        yield lambda: verify_map(OU, tgt, tmap, x0=1.0, seed=3, **VERIFY_SIZE)
+        yield lambda: verify_map(src, tgt, tmap, x0=1.0, seed=3, **VERIFY_SIZE)
 
     def test_one_worker_joined_per_call(self, monkeypatch):
         started = []
@@ -590,7 +667,7 @@ class TestFreshNoiseThread:
         before = threading.active_count()
         error, message = REFUSALS[name]
         with pytest.raises(error, match=message):
-            _map_refusals(LANGEVIN)[name]()
+            _map_refusals(AXINV)[name]()
         assert threading.active_count() == before
         assert failed == []   # a failed draw on the worker is not printed
 
@@ -635,9 +712,9 @@ class TestFreshNoiseThread:
 
 
 class TestExactReference:
-    """A fresh ensemble of constant drift and diffusion is its exact law at
-    the checkpoints: no worker thread, the same refusals, and the moments
-    of that law."""
+    """Both ensembles of a linear SDE are its exact law at the grid rows
+    read: no worker thread, no Euler-Maruyama run, the same refusals, and
+    the moments of that law."""
 
     def test_no_thread(self, monkeypatch):
         started = []
@@ -646,6 +723,38 @@ class TestExactReference:
         verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
         verify_map(OU, BROWNIAN, MAPS["paper"], x0=1.0, seed=3, **VERIFY_SIZE)
         assert started == []
+
+    @pytest.mark.parametrize("name, simulated", [
+        ("langevin", False), ("gbm", False), ("axinv", True),
+        ("t-dependent", True)])
+    def test_euler_maruyama_runs_for_non_linear_sdes_only(self, name,
+                                                          simulated,
+                                                          monkeypatch):
+        # a symmetry's source, its step-halving subsample and its fresh
+        # ensemble; a map's source and fresh ensemble (the identity map)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _simulate_on_grid(*args)
+
+        monkeypatch.setattr(numeric, "_simulate_on_grid", counted)
+        sde, v, eps, x0 = SYMMETRIES[name]
+        verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
+        assert len(calls) == (3 if simulated else 0)
+        verify_map(sde, sde, MAPS["identity"], x0=x0, seed=3, **VERIFY_SIZE)
+        assert len(calls) == (5 if simulated else 0)
+        assert all(c is sde for c in calls)
+
+    @pytest.mark.parametrize("drift, diffusion", [
+        ("a*x + b", "1"), ("a", "b"), ("x - x", "1"), ("a*x/x", "1"),
+        ("a*x", "b*x"), ("0", "x"), ("a*x/x", "x"), ("a*x + 1", "b*x"),
+        ("a/x", "1"), ("x", "1 + x"), ("t", "1"), ("x", "t*x"), ("x^2", "1")])
+    def test_the_linear_rule_agrees_with_sympy(self, drift, diffusion):
+        # a*x/x is the constant a: linear with diffusion 1, not GBM with x
+        sde = Sde(p(drift), p(diffusion), {"a": 1.0, "b": 2.0})
+        assert ((numeric._linear_law(sde) is None)
+                == (linear_coefficients(sde) is None))
 
     @pytest.mark.parametrize("name", sorted(REFUSALS))
     def test_same_refusals(self, name, monkeypatch):
@@ -656,7 +765,8 @@ class TestExactReference:
             _map_refusals(BROWNIAN)[name]()
         assert started == []
 
-    @pytest.mark.parametrize("ref", [BROWNIAN, LANGEVIN], ids=["exact", "euler"])
+    @pytest.mark.parametrize("ref", [BROWNIAN, LANGEVIN, SDES["gbm"], AXINV],
+                             ids=["exact", "exact-ou", "exact-gbm", "euler"])
     @pytest.mark.parametrize("y0, grid, message", [
         (0.0, [0.0, 1.0, np.inf], "time grid must be finite"),
         (0.0, [0.0, 1.0, 1.0], "time grid must be finite"),
@@ -682,7 +792,7 @@ class TestExactReference:
             with _fresh_ensemble(sde, n_paths, 40, 9, rows) as fresh:
                 Z, aborted = fresh(y0, grid)
             _, want, want_aborted = reference_exact_law(
-                sde, y0, grid, n_paths, 9 + FRESH_SEED_OFFSET)
+                sde, y0, grid, n_paths, philox(9 + FRESH_SEED_OFFSET))
             assert same_bits(Z, want[:, rows].T)
             assert same(aborted, want_aborted)
             assert np.all(np.isnan(Z[:, aborted]).any(axis=0))
@@ -705,3 +815,73 @@ class TestExactReference:
             var = sigma**2 * span
             assert abs(z.mean() - (y0 + c * span)) < 5 * math.sqrt(var / n)
             assert abs(z.var(ddof=1) - var) < 5 * var * math.sqrt(2 / (n - 1))
+
+    # (sde, y0): OU with a < 0, a > 0 and a stiff a < 0 whose grid spans
+    # more than 300/|a|, Brownian motion with drift, and GBM
+    LINEAR = {
+        "ou-decaying": (Sde(p("a*x + b"), p("3/2"), {"a": -2.0, "b": 0.5}), 0.4),
+        "ou-growing": (Sde(p("a*x - b"), p("1/2"), {"a": 1.5, "b": 0.3}), 0.4),
+        "ou-stiff": (Sde(p("a*x + 1"), p("b"), {"a": -700.0, "b": 2.0}), 0.4),
+        "drift": (Sde(p("a"), p("b"), {"a": -0.7, "b": 1.5}), 0.4),
+        "gbm": (Sde(p("a*x"), p("b*x"), {"a": 0.3, "b": 0.7}), 0.4),
+    }
+
+    @staticmethod
+    def law_moments(sde, y0, span):
+        """The mean and variance of the exact law at time span from y0, and
+        the variance of the sample variance of one path."""
+        kind, a, *rest = linear_coefficients(sde)
+        if kind == "gbm":
+            c, = rest
+            raw = [y0**k * math.exp(k * (a - c * c / 2) * span
+                                    + k * k * c * c * span / 2)
+                   for k in range(5)]
+            m, var = raw[1], raw[2] - raw[1] ** 2
+            mu4 = raw[4] - 4 * m * raw[3] + 6 * m * m * raw[2] - 3 * m**4
+            return m, var, mu4 - var**2
+        b, sigma = rest
+        if a == 0:
+            m, var = y0 + b * span, sigma**2 * span
+        else:
+            m = y0 * math.exp(a * span) + b / a * math.expm1(a * span)
+            var = sigma**2 * math.expm1(2 * a * span) / (2 * a)
+        return m, var, 2 * var**2
+
+    @pytest.mark.parametrize("every_row", [False, True])
+    @pytest.mark.parametrize("name", sorted(LINEAR))
+    def test_linear_moments(self, name, every_row):
+        # each checkpoint's sample mean and variance within 5 standard
+        # errors of the law's, on a non-uniform grid from s_0 = 0.5; read
+        # at the checkpoints alone or at every grid time, as the
+        # step-halving subsample is
+        sde, y0 = self.LINEAR[name]
+        n, K = 20000, 200
+        grid = 0.5 + np.cumsum(np.linspace(1e-3, 9e-3, K + 1)) ** 2
+        rows = list(range(K + 1)) if every_row else _checkpoint_indices(K)
+        law = numeric._linear_law(sde)
+        X, aborted = law(philox(17), n, y0, grid, rows)
+        assert X.shape == (len(rows), n) and not aborted.any()
+        for k in _checkpoint_indices(K):
+            x = X[rows.index(k)]
+            m, var, var_of_var = self.law_moments(sde, y0, grid[k] - grid[0])
+            assert abs(x.mean() - m) < 5 * math.sqrt(var / n)
+            assert abs(x.var(ddof=1) - var) < 5 * math.sqrt(var_of_var / n)
+
+    @pytest.mark.parametrize("every_row", [False, True])
+    @pytest.mark.parametrize("name", sorted(LINEAR))
+    def test_linear_law_steps_as_the_reference(self, name, every_row):
+        # the closed form from y0 agrees with the reference's step-by-step
+        # transition to rounding, on the same normals; a start so large
+        # that some GBM and growing OU states overflow reads NaN in both
+        sde, _ = self.LINEAR[name]
+        K = 200
+        grid = 0.3 + np.cumsum(np.linspace(1e-3, 3e-2, K + 1))
+        rows = list(range(K + 1)) if every_row else _checkpoint_indices(K)
+        law = numeric._linear_law(sde)
+        for y0 in (0.4, 1e306):
+            X, aborted = law(philox(5), 500, y0, grid, rows)
+            _, want, want_aborted = reference_exact_law(sde, y0, grid, 500,
+                                                        philox(5), rows)
+            assert same(aborted, want_aborted)
+            assert np.allclose(X, want[:, rows].T, rtol=1e-10, atol=1e-12,
+                               equal_nan=True)
