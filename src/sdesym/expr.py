@@ -77,6 +77,7 @@ class UnboundSymbolError(EvalError):
 
 
 _set = object.__setattr__
+_memo = object.__setattr__  # every memo write; tests switch it off
 
 
 class Expr:
@@ -522,7 +523,7 @@ def _key(e: Expr):
             key = (_RANK[k], e.name)
         else:
             key = (_RANK[k],) + tuple(map(_key, e.children))
-        _set(e, "_sort_key", key)
+        _memo(e, "_sort_key", key)
     return key
 
 
@@ -548,7 +549,7 @@ def simplify(e: Expr) -> Expr:
             break
         cur = nxt
     if cur is not e:
-        _set(e, "_simplified", cur)
+        _memo(e, "_simplified", cur)
     return cur
 
 
@@ -559,7 +560,7 @@ def _simp(e: Expr) -> Expr:
         return e
     out = _simp_node(e)
     if out == e:
-        _set(e, "_simplified", True)
+        _memo(e, "_simplified", True)
         return e
     return out
 

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and random expression trees."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -101,7 +102,9 @@ def match_basis_all_restarts(src, tgt, seed=0):
     """lie.match_basis as it ran before it stopped early: all 64 restarts
     run, and the final gate checks the residual only.  Returns the
     BasisMatch and the restart index of the winning candidate (None when
-    nothing matched)."""
+    nothing matched).  It calls lie's own _gauss_newton_match, _sparsify,
+    _normalize_rows and _snap_small_rationals, so it pins the early stop
+    only, not those steps."""
     if src.n != tgt.n:
         return lie.BasisMatch(np.eye(max(src.n, tgt.n)), math.inf, False), None
     n = src.n
@@ -225,223 +228,28 @@ def exact_floats(e: ex.Expr) -> ex.Expr:
 
 
 # ---------------------------------------------------------------------------
-# simplification without memo (reference trees for expr.simplify)
+# simplification with the memo switched off (reference trees for the memo)
 
-def _um_key(e: ex.Expr):
-    k = e.kind
-    if k == ex.CONST:
-        return (0, ex._to_float(e.value), str(e.value))
-    if k in (ex.PARAM, ex.VAR):
-        return (ex._RANK[k], e.name)
-    return (ex._RANK[k],) + tuple(_um_key(c) for c in e.children)
+@contextmanager
+def memo_off():
+    """expr.simplify and expr._key with every memo write a no-op: no node
+    keeps its canonical form or sort key, so every call rewrites the whole
+    tree and every sort builds the keys again."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ex, "_memo", lambda node, slot, value: None)
+        yield
 
+
+def rebuilt(e: ex.Expr) -> ex.Expr:
+    """e rebuilt node by node, with no memo slot filled."""
+    return ex.Expr(e.kind, [rebuilt(c) for c in e.children], e.value, e.name)
 
 
 def simplify_unmemoized(e: ex.Expr) -> ex.Expr:
-    """expr.simplify as it was before nodes kept their canonical form and
-    sort key: every call rewrites the whole tree, every sort rebuilds the
-    keys, and coefficients are folded in Fraction."""
-    cur = e
-    for _ in range(ex.SIMPLIFY_MAX_PASSES):
-        nxt = _um_simp(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return cur
-
-
-def _um_simp(e: ex.Expr) -> ex.Expr:
-    k = e.kind
-    if k in ex._ATOMS:
-        return e
-    if k == ex.SUM:
-        return _um_sum([_um_simp(c) for c in e.children])
-    if k == ex.PRODUCT:
-        return _um_product([_um_simp(c) for c in e.children])
-    if k == ex.POWER:
-        return _um_power(_um_simp(e.children[0]), _um_simp(e.children[1]))
-    if k == ex.QUOTIENT:
-        a = _um_simp(e.children[0])
-        b = _um_simp(e.children[1])
-        if a.kind == ex.CONST and b.kind == ex.CONST and b.value != 0:
-            return ex.const(a.value / b.value)
-        return _um_product([a, _um_power(b, ex.const(-1))])
-    if k == ex.NEG:
-        u = _um_simp(e.children[0])
-        if u.kind == ex.CONST:
-            return ex.const(-u.value)
-        return _um_product([ex.const(-1), u])
-    if k == ex.EXP:
-        u = _um_simp(e.children[0])
-        if u.is_zero():
-            return ex.ONE
-        if u.kind == ex.LOG:
-            return u.children[0]
-        return ex.exp(u)
-    if k == ex.LOG:
-        u = _um_simp(e.children[0])
-        if u.is_one():
-            return ex.ZERO
-        if u.kind == ex.EXP:
-            return u.children[0]
-        return ex.log(u)
-    raise ex.ExprError(f"cannot simplify node kind {k!r}")
-
-
-def _um_coeff_key(term: ex.Expr):
-    """Split a term into (numeric coefficient, non-constant key or None)."""
-    if term.kind == ex.CONST:
-        return term.value, None
-    if term.kind == ex.NEG:
-        c, key = _um_coeff_key(term.children[0])
-        return -c, key
-    if term.kind == ex.PRODUCT:
-        coeff = Fraction(1)
-        rest = []
-        for f in term.children:
-            if f.kind == ex.CONST:
-                coeff = coeff * f.value
-            else:
-                rest.append(f)
-        if not rest:
-            return coeff, None
-        key = rest[0] if len(rest) == 1 else ex.Expr(ex.PRODUCT, rest)
-        return coeff, key
-    return Fraction(1), term
-
-
-def _um_make_term(coeff, key: ex.Expr) -> ex.Expr:
-    if coeff == 1:
-        return key
-    if coeff == -1:
-        return ex.Expr(ex.NEG, (key,))
-    if key.kind == ex.PRODUCT:
-        return ex.Expr(ex.PRODUCT, (ex.const(coeff),) + key.children)
-    return ex.Expr(ex.PRODUCT, (ex.const(coeff), key))
-
-
-def _um_sum(children) -> ex.Expr:
-    flat = []
-    for c in children:
-        if c.kind == ex.SUM:
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    acc: dict = {}
-    const_part = Fraction(0)
-    for term in flat:
-        coeff, key = _um_coeff_key(term)
-        if key is None:
-            const_part = const_part + coeff
-        else:
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-    terms = []
-    if const_part != 0:
-        terms.append(ex.const(const_part))
-    for key in sorted(acc, key=_um_key):
-        if acc[key] != 0:
-            terms.append(_um_make_term(acc[key], key))
-    if not terms:
-        return ex.ZERO
-    if len(terms) == 1:
-        return terms[0]
-    terms.sort(key=_um_key)
-    return ex.Expr(ex.SUM, terms)
-
-
-def _um_product(children) -> ex.Expr:
-    flat = []
-    stack = list(reversed(children))
-    coeff = Fraction(1)
-    while stack:
-        c = stack.pop()
-        if c.kind == ex.PRODUCT:
-            stack.extend(reversed(c.children))
-        elif c.kind == ex.NEG:
-            coeff = -coeff
-            stack.append(c.children[0])
-        elif c.kind == ex.CONST:
-            coeff = coeff * c.value
-        else:
-            flat.append(c)
-    if coeff == 0:
-        return ex.ZERO
-
-    # merge powers of equal bases; pool exp() arguments additively
-    bases: list = []       # insertion-ordered distinct bases
-    expos: dict = {}       # base -> list of exponent Exprs
-    exp_args: list = []
-    for f in flat:
-        if f.kind == ex.EXP:
-            exp_args.append(f.children[0])
-            continue
-        if f.kind == ex.POWER:
-            b, p = f.children
-        else:
-            b, p = f, ex.ONE
-        if b not in expos:
-            bases.append(b)
-            expos[b] = []
-        expos[b].append(p)
-
-    factors = []
-    for b in bases:
-        ps = expos[b]
-        p = ps[0] if len(ps) == 1 else _um_sum(ps)
-        f = _um_power(b, p)
-        if f.kind == ex.CONST:
-            coeff = coeff * f.value
-            if coeff == 0:
-                return ex.ZERO
-        elif not f.is_one():
-            factors.append(f)
-    if exp_args:
-        total = _um_sum(exp_args) if len(exp_args) > 1 else exp_args[0]
-        if not total.is_zero():
-            factors.append(ex.exp(total))
-
-    factors.sort(key=_um_key)
-    if not factors:
-        return ex.const(coeff)
-    if coeff == 1:
-        return factors[0] if len(factors) == 1 else ex.Expr(ex.PRODUCT, factors)
-    if coeff == -1:
-        inner = factors[0] if len(factors) == 1 else ex.Expr(ex.PRODUCT, factors)
-        return ex.Expr(ex.NEG, (inner,))
-    return ex.Expr(ex.PRODUCT, (ex.const(coeff),) + tuple(factors))
-
-
-def _um_power(b: ex.Expr, p: ex.Expr) -> ex.Expr:
-    if p.is_zero():
-        return ex.ONE
-    if p.is_one():
-        return b
-    if b.is_one():
-        return ex.ONE
-    if b.is_zero():
-        if p.kind == ex.CONST and p.value > 0:
-            return ex.ZERO
-        return ex.Expr(ex.POWER, (b, p))
-    if b.kind == ex.CONST and ex._is_int_const(p):
-        try:
-            v = b.value ** int(p.value)
-            if math.isfinite(ex._to_float(v)):
-                return ex.const(v)
-        except OverflowError:
-            pass  # left unfolded: evaluation reports the overflow
-        return ex.Expr(ex.POWER, (b, p))
-    if b.kind == ex.EXP:
-        return _um_simp(ex.exp(ex.mul(b.children[0], p)))
-    if b.kind == ex.POWER and ex._is_int_const(p):
-        return _um_power(b.children[0], _um_simp(ex.mul(b.children[1], p)))
-    if b.kind in (ex.PRODUCT, ex.NEG) and ex._is_int_const(p):
-        # integer powers distribute over products
-        if b.kind == ex.NEG:
-            parts = [ex.const(-1), b.children[0]]
-        else:
-            parts = list(b.children)
-        return _um_product([_um_power(f, p) for f in parts])
-    return ex.Expr(ex.POWER, (b, p))
+    """expr.simplify of a memo-free copy of e, with the memo switched off:
+    a tree that cannot depend on which nodes were simplified before."""
+    with memo_off():
+        return ex.simplify(rebuilt(e))
 
 
 def same_tree(a, b) -> bool:

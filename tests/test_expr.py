@@ -451,6 +451,25 @@ class TestSimplify:
         for terms in ((ex.mul(2, sq_float), sq), (sq, ex.mul(2, sq_float))):
             assert str(simplify(ex.add(*terms))) == "x^2 + 2*x^2.0"
 
+    def test_node_kinds_sort_by_rank(self):
+        # the expected strings are derived by hand from expr._RANK: const 0,
+        # param 1, var 2, power 3, exp 4, log 5, neg 6, quotient 7,
+        # product 8, sum 9.  Each input holds every node kind; one of each
+        # kind is left as a term of the sum (a quotient becomes a product,
+        # a sum is flattened) and as a factor of the product (whose
+        # coefficient leads, and which holds no neg or product), so the
+        # order is the ranks' alone
+        def kinds(e):
+            return {e.kind}.union(*map(kinds, e.children))
+
+        for text, want in (
+                ("log(x) + t*x/2 - t + exp(x) + x^2 + a + 1 + x",
+                 "1 + a + x + x^2 + exp(x) + log(x) - t + 1/2*t*x"),
+                ("-(1 + x)*log(x)*exp(x)*t^2*x*a/3",
+                 "-1/3*a*x*t^2*exp(x)*log(x)*(1 + x)")):
+            assert kinds(p(text)) == set(ex._RANK)
+            assert str(simplify(p(text))) == want
+
     def test_decimal_literals_fold_exactly(self):
         s = simplify(p("0.1*x + 0.2*x"))
         assert str(s) == "3/10*x" and s.children[0].value == Fraction(3, 10)

@@ -2,12 +2,15 @@
 
 `simplify` stores its result on the node it was given and marks every node
 a pass leaves unchanged as its own canonical form; `_key` stores its tuple on
-the node.  These tests check that the trees are those of
-`simplify_unmemoized` (expr.simplify without either memo) type-strictly,
-and that the memo lives on its tree alone.  `parse` makes every literal an
-exact rational, so the trees that mix float and rational constants are
-built with `parse_floats`, whose decimal literals are float constants as
-the solver makes them for unsnapped coefficients.
+the node.  Every memo write goes through `expr._memo`.  The reference is the
+same `simplify` and `_key` run on a memo-free rebuilt copy of the tree under
+`memo_off()`, which makes that write a no-op (`simplify_unmemoized` in
+conftest.py).  These tests check that the trees are the reference's
+type-strictly, whichever nodes were simplified before, and that the memo
+lives on its tree alone.  `parse` makes every literal an exact rational, so
+the trees that mix float and rational constants are built with
+`parse_floats`, whose decimal literals are float constants as the solver
+makes them for unsnapped coefficients.
 """
 
 import os
@@ -20,7 +23,14 @@ from sdesym.ansatz import solve_symmetries
 from sdesym.expr import add, const, parse, simplify, var
 from sdesym.problem import load_problem
 
-from conftest import _um_key, parse_floats, random_expr, same_tree, simplify_unmemoized
+from conftest import (
+    memo_off,
+    parse_floats,
+    random_expr,
+    rebuilt,
+    same_tree,
+    simplify_unmemoized,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,12 +57,15 @@ def test_random_trees_type_strict(rng):
 
 
 def test_shared_subtrees_type_strict(rng):
-    # one tree's canonical pieces reused in larger trees, as the builders do
-    pieces = [simplify(random_expr(rng, 3)) for _ in range(40)]
-    for _ in range(200):
-        i, j, k = rng.integers(len(pieces), size=3)
-        e = ex.mul(pieces[i], add(pieces[j], ex.negate(pieces[k])))
-        assert same_tree(simplify(e), simplify_unmemoized(e)), ex.to_str(e)
+    # pieces reused in larger trees, as the builders do: canonical pieces,
+    # and pieces whose first simplification happens inside a larger tree,
+    # so that a node marked canonical after a pass that rewrote it shows
+    for first in (simplify, lambda e: e):
+        pieces = [first(random_expr(rng, 3)) for _ in range(40)]
+        for _ in range(200):
+            i, j, k = rng.integers(len(pieces), size=3)
+            e = ex.mul(pieces[i], add(pieces[j], ex.negate(pieces[k])))
+            assert same_tree(simplify(e), simplify_unmemoized(e)), ex.to_str(e)
 
 
 @pytest.mark.parametrize("first", ["x + 1", "x + 1.0"])
@@ -80,7 +93,8 @@ def test_simplify_twice_returns_the_identical_object():
 def test_sort_key_is_kept_on_the_node():
     e = simplify(parse("x^2 + t*x + 1"))
     assert ex._key(e) is ex._key(e)
-    assert ex._key(e) == _um_key(e)
+    with memo_off():
+        assert ex._key(e) == ex._key(rebuilt(e))
 
 
 def _containers():

@@ -6,32 +6,34 @@ conftest.py build every row with its own derivatives and negations.  The
 production builders must return equal (==, which tells the constant 1 from
 1.0) residual trees, so that the linearization, the solver and the printed
 output see the same expressions.  The builders are also checked against
-themselves run with `simplify_unmemoized`, expr.simplify without the
-canonical form and sort key kept on each node, by `same_tree`, which also
-compares the sign of zero: 10,620 determining systems and the 1,000 pair
-sets.  Decimal literals here are float constants (`parse_floats`), so the
-SDEs, fields and maps mix float and rational constants.
+themselves run on memo-free rebuilt copies of their inputs under
+`memo_off()`, where no node keeps its canonical form or sort key, by
+`same_tree`, which also compares the sign of zero: 10,620 determining
+systems and the 1,000 pair sets.  So a row cannot depend on which of its
+shared subtrees an earlier row simplified.  Decimal literals here are float
+constants (`parse_floats`), so the SDEs, fields and maps mix float and
+rational constants.
 """
 
 import itertools
 import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from sdesym import ansatz, determining, transform
+from sdesym import ansatz
 from sdesym.ansatz import solve_symmetries
 from sdesym.determining import Sde, VectorField, build_system
-from sdesym.expr import _diff, add, mul, param
+from sdesym.expr import add, mul, param
 from sdesym.problem import load_problem
 from sdesym.transform import PairedSymmetries, transformation_system
 
 from conftest import (
     build_system_written_out,
+    memo_off,
     parse_floats,
+    rebuilt,
     same_tree,
-    simplify_unmemoized,
     transformation_system_written_out,
 )
 
@@ -103,16 +105,8 @@ def test_build_system_trees_equal(name):
     assert count == grid_size(g)
 
 
-@contextmanager
-def unmemoized_builders():
-    """The builders with every derivative and row simplified by
-    simplify_unmemoized."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(determining, "diff",
-                  lambda e, name: simplify_unmemoized(_diff(e, name)))
-        m.setattr(determining, "simplify", simplify_unmemoized)
-        m.setattr(transform, "simplify", simplify_unmemoized)
-        yield
+def rebuilt_field(v):
+    return VectorField(rebuilt(v.tau), rebuilt(v.phi), rebuilt(v.phitilde))
 
 
 def same_trees(got, want):
@@ -124,8 +118,10 @@ def test_build_system_trees_type_strict(name):
     f, g = {**SDES, **FLOAT_SDES}[name]
     sde = Sde(p(f), p(g))
     cases = list(fields(g))
-    with unmemoized_builders():
-        want = [build_system(sde, v, mode).residuals for v, mode in cases]
+    with memo_off():
+        want = [build_system(Sde(rebuilt(sde.drift), rebuilt(sde.diffusion)),
+                             rebuilt_field(v), mode).residuals
+                for v, mode in cases]
     for (v, mode), rows in zip(cases, want):
         assert same_trees(build_system(sde, v, mode).residuals, rows), \
             (name, str(v), mode)
@@ -177,8 +173,11 @@ def test_transformation_system_trees_equal(start):
 @pytest.mark.parametrize("start", range(0, 1000, 250))
 def test_transformation_system_trees_type_strict(start):
     sets = [pair_set(seed) for seed in range(start, start + 250)]
-    with unmemoized_builders():
-        want = [transformation_system(*s).residuals for s in sets]
+    with memo_off():
+        want = [transformation_system(
+            PairedSymmetries(tuple((rebuilt_field(v), rebuilt_field(u))
+                                   for v, u in pairs)),
+            rebuilt(mu1), rebuilt(mu2)).residuals for pairs, mu1, mu2 in sets]
     for seed, s, rows in zip(range(start, start + 250), sets, want):
         assert same_trees(transformation_system(*s).residuals, rows), seed
 

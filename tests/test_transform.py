@@ -188,6 +188,27 @@ class TestSolveMap:
             solve_map(pairs, (p("1"), p("t")), mu2_basis, params={},
                       window=(0.1, 1.0, 0.5, 2.0))
 
+    @pytest.mark.parametrize("degree, refusal", [
+        (7, r"map conditions are infeasible with this ansatz "
+            r"\(best residual 7\.821e-07\)"),
+        (8, r"candidate map fails re-verification: residual 4\.399e-08"),
+    ], ids=("infeasible", "re-verification"))
+    def test_feasibility_gate_from_both_sides(self, degree, refusal):
+        # (exp(x) d/dx, d/dy) needs mu2 = c - exp(-x), which a polynomial
+        # of degree d only approximates.  The largest |b| is 1, so the gate
+        # 1e-7 * scale is 1e-7: the degree-7 fit (7.8e-7) lies above it, the
+        # degree-8 fit (3.4e-8) below it, and that fit's 4.4e-8 at the fresh
+        # points above VERIFY_TOL = 1e-8.  A gate loosened by 10^3 passes
+        # degree 7 on to re-verification; one tightened by 10^3 refuses
+        # degree 8 as infeasible
+        pairs = PairedSymmetries.from_tx([
+            (VectorField(tau=p("1")), VectorField(tau=p("1"))),
+            (VectorField(phi=p("exp(x)")), VectorField(phi=p("1"))),
+        ])
+        mu2_basis = tuple(p(f"x^{k}") for k in range(degree + 1))
+        with pytest.raises(NoMapError, match=f"^{refusal}$"):
+            solve_map(pairs, (p("1"), p("t")), mu2_basis, params={})
+
     def test_nonlinear_solve_finds_no_map(self):
         # (d/dx, (y^2 + 1) d/dy) needs mu2_x = mu2^2 + 1, so mu2 = tan(x + c):
         # no affine mu2 = a + b x solves (a + b x)^2 + 1 = b
