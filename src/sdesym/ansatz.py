@@ -223,19 +223,35 @@ def build_linear_system(ds: DeterminingSystem, points, params):
     return M, b
 
 
+def _scales(A: np.ndarray, axis: int) -> np.ndarray:
+    """The largest magnitude along `axis`, 1 where it is 0."""
+    m = np.max(np.abs(A), axis=axis)
+    return np.where(m > 0.0, m, 1.0)
+
+
 def nullspace(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list:
-    """Orthonormal basis of the right nullspace via SVD rank revelation."""
+    """Unit-vector basis of the right nullspace via SVD rank revelation.
+
+    M is equilibrated first, so that rows and dictionary entries of very
+    different sizes do not decide the rank cut: each row, then each column,
+    is divided by its largest magnitude.  That leaves every row and column
+    at largest magnitude 1, so a further sweep (Ruiz scaling) would change
+    nothing.  Each null vector is mapped back through the column scales."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] == 0:
         return []
     if M.shape[0] == 0:
         return [np.eye(M.shape[1])[i] for i in range(M.shape[1])]
+    M = M / _scales(M, 1)[:, None]
+    col_scale = _scales(M, 0)
+    M = M / col_scale
     _, s, vh = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.sum(s > tol * s[0]))
-    return [vh[i].copy() for i in range(rank, M.shape[1])]
+    null = vh[rank:] / col_scale
+    return list(null / np.linalg.norm(null, axis=1)[:, None])
 
 
 def _rref(vectors) -> list:
@@ -337,7 +353,8 @@ def _max_abs(values, axis=None):
 def _check_dictionary_independence(fns, points, params, label):
     if len(fns) < 2:
         return
-    s = np.linalg.svd(finite_points(fns, points, params), compute_uv=False)
+    A = finite_points(fns, points, params)
+    s = np.linalg.svd(A / _scales(A, 0), compute_uv=False)
     if s[0] == 0 or s[-1] < 1e-9 * s[0]:
         raise AnsatzError(f"{label} dictionary entries are numerically linearly dependent")
 

@@ -3,9 +3,10 @@
 Simulates SDE path ensembles (Euler-Maruyama, counter-based Philox noise),
 applies deterministic symmetry flows with the accompanying time change,
 and statistically compares transformed ensembles against fresh ensembles
-with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.  Both
-ensembles of a linear SDE (`_linear_law`) are drawn from its exact law at
-the grid times read, any other's are simulated.
+with two-sample Kolmogorov-Smirnov tests at fixed checkpoints.  One
+function (`_ensemble`) draws every ensemble: a linear SDE's (`_linear_law`)
+from its exact law at the grid times read, any other's by Euler-Maruyama
+on normals drawn in line.
 
 Stochastic generators (phitilde != 0) are certified by direct residual
 evaluation of the determining system; flow-based simulation is offered for
@@ -16,7 +17,6 @@ flow is not pinned down by the symbolic layer.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +102,26 @@ def _simulate_on_grid(sde: Sde, x0: float, times, normals: np.ndarray, rows):
     return X, ~np.isfinite(x)
 
 
+def _ensemble(sde: Sde, law, seed: int, n_paths: int, y0: float, grid, rows):
+    """(X, aborted) of `sde` from y0 on `grid` at the grid rows `rows`, from
+    Philox(key=seed): by `law` (`_linear_law`'s) if it is set, else by
+    `_simulate_on_grid` on its first (n_paths, K) normals, so that path i's
+    normals depend on (seed, i, K) only."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if law:
+        return law(rng, n_paths, y0, grid, rows)
+    grid = _grid(grid)
+    return _simulate_on_grid(sde, y0, grid,
+                             rng.standard_normal((n_paths, grid.size - 1)), rows)
+
+
 def _simulate_uniform(sde: Sde, x0: float, h: float, K: int, n_paths: int,
                       seed: int, rows, law=None):
-    """(times, X, aborted) on the grid times = k h from the normals of `seed`,
-    by `law` (`_linear_law`'s) or else `_simulate_on_grid`, whose path i's
-    normals depend on (seed, i, K) only."""
+    """(times, X, aborted): the `_ensemble` of `seed` on the grid times = k h."""
     if h <= 0:
         raise NumericError("step size h must be positive")
     times = _grid(np.arange(K + 1, dtype=float) * h)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return (times, *(law(rng, n_paths, x0, times, rows) if law else _simulate_on_grid(
-        sde, x0, times, rng.standard_normal((n_paths, K)), rows)))
+    return (times, *_ensemble(sde, law, seed, n_paths, x0, times, rows))
 
 
 def _linear_law(sde: Sde):
@@ -456,44 +465,6 @@ def _compare_ensembles(image: np.ndarray, aborted: np.ndarray, seed: int,
                     image.shape[1], int(aborted.sum() + fresh_aborted.sum()))
 
 
-@contextmanager
-def _fresh_ensemble(sde: Sde, n_paths: int, K: int, seed: int, rows):
-    """Yields fresh(y0, grid) -> (Z, aborted): the fresh ensemble of `sde`
-    from y0 on `grid` at the grid rows `rows`, from the noise of
-    seed + FRESH_SEED_OFFSET.  Fewer than one path is refused first.
-
-    A linear sde is drawn from its exact law (`_linear_law`), with no
-    thread.  Any other is `_simulate_on_grid`, its (n_paths, K) normals
-    drawn meanwhile on a thread that calls numpy only, joined by fresh()
-    and on every way out; fresh() draws again if that draw raised."""
-    if n_paths < 1:
-        raise NumericError(f"need at least 1 path, got {n_paths}")
-    rng = np.random.Generator(np.random.Philox(key=seed + FRESH_SEED_OFFSET))
-    if law := _linear_law(sde):
-        yield lambda y0, grid: law(rng, n_paths, y0, grid, rows)
-        return
-    import threading  # numpy has loaded it already
-    box = []
-
-    def draw():
-        try:
-            box.append(rng.standard_normal((n_paths, K)))
-        except Exception:  # fresh() draws again and raises it
-            pass
-
-    def fresh(y0, grid):
-        worker.join()
-        normals = box.pop() if box else rng.standard_normal((n_paths, K))
-        return _simulate_on_grid(sde, y0, grid, normals, rows)
-
-    worker = threading.Thread(target=draw)
-    worker.start()
-    try:
-        yield fresh
-    finally:
-        worker.join()
-
-
 def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
                     x0: float = 1.0, h: float = 1e-3, K: int = 1000,
                     n_paths: int = 2000, seed: int = 0) -> KSReport:
@@ -502,20 +473,23 @@ def verify_symmetry(sde: Sde, v: VectorField, eps: float, *,
     Draws the SDE's ensemble (from its exact law if it is linear, see
     `_linear_law`), transports it along the flow of v, and compares its
     marginals (4 checkpoints, two-sample KS) against a fresh ensemble of
-    the same SDE (`_fresh_ensemble`) from the transformed initial state on
-    the image time grid.  The time change and its checks run on the whole
-    grid; the paths are kept and moved at the checkpoints only.
+    the same SDE (`_ensemble` of seed + FRESH_SEED_OFFSET) from the
+    transformed initial state on the image time grid.  The time change and
+    its checks run on the whole grid; the paths are kept and moved at the
+    checkpoints only.
     """
     cols = _checkpoint_indices(K)
-    with _fresh_ensemble(sde, n_paths, K, seed, cols) as fresh:
-        law = _linear_law(sde)
-        times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols, law)
-        # the step-halving check's paths (a simulated source's first 8)
-        sub = _simulate_uniform(sde, x0, h, K, min(8, n_paths), seed, range(K + 1), law)[1]
-        beta, image, aborted = _flow_image(v, eps, sde.bound_params(), times,
-                                           sub, cols, X, aborted)
-        # every path starts at x0, so the moved first cell is the image of x0
-        Z, fresh_aborted = fresh(float(sub[0, 0]), beta)
+    if n_paths < 1:
+        raise NumericError(f"need at least 1 path, got {n_paths}")
+    law = _linear_law(sde)
+    times, X, aborted = _simulate_uniform(sde, x0, h, K, n_paths, seed, cols, law)
+    # the step-halving check's paths (a simulated source's first 8)
+    sub, _ = _ensemble(sde, law, seed, min(8, n_paths), x0, times, range(K + 1))
+    beta, image, aborted = _flow_image(v, eps, sde.bound_params(), times,
+                                       sub, cols, X, aborted)
+    # every path starts at x0, so the moved first cell is the image of x0
+    Z, fresh_aborted = _ensemble(sde, law, seed + FRESH_SEED_OFFSET, n_paths,
+                                 float(sub[0, 0]), beta, cols)
     return _compare_ensembles(image, aborted, seed, beta[cols], Z,
                               fresh_aborted)
 
@@ -528,8 +502,9 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     Source paths X(t_k) (exact-law draws if src is linear, `_linear_law`)
     become Y_k = mu2(t_k, X(t_k)) at s_k = mu1(t_k); their marginals are
     compared at 4 checkpoints by two-sample KS with a fresh target ensemble
-    (`_fresh_ensemble`) on {s_k} from mu2(0, x0).  mu1 is checked on the
-    whole grid; the paths are kept, and mu2 evaluated, at the checkpoints only.
+    (`_ensemble` of seed + FRESH_SEED_OFFSET) on {s_k} from mu2(0, x0).
+    mu1 is checked on the whole grid; the paths are kept, and mu2
+    evaluated, at the checkpoints only.
     """
     if not tmap.time_only():
         raise NumericError("mu1 must depend on t only for numeric verification")
@@ -537,20 +512,22 @@ def verify_map(src: Sde, tgt: Sde, tmap: TransformMap, *,
     mu1 = compile_fn(simplify(tmap.mu1), ("t",), params)
     dmu1 = compile_fn(diff(tmap.mu1, "t"), ("t",), params)
     cols = _checkpoint_indices(K)
-    with _fresh_ensemble(tgt, n_paths, K, seed, cols) as fresh:
-        times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols,
-                                              _linear_law(src))
-        slope = np.asarray(dmu1(times), dtype=float)
-        if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
-            raise NumericError("mu1 is not strictly increasing on the window")
-        mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
-        with np.errstate(all="ignore"):
-            image = np.broadcast_to(
-                np.asarray(mu2(times[cols, None], X), dtype=float), X.shape)
-            # numpy arithmetic, so a singular mu2 gives inf rather than raising
-            y0 = float(np.asarray(mu2(times[0], np.float64(x0)), dtype=float))
-        aborted = aborted | ~np.all(np.isfinite(image), axis=0)
-        grid = np.asarray(mu1(times), dtype=float)
-        Z, fresh_aborted = fresh(y0, grid)
+    if n_paths < 1:
+        raise NumericError(f"need at least 1 path, got {n_paths}")
+    times, X, aborted = _simulate_uniform(src, x0, h, K, n_paths, seed, cols,
+                                          _linear_law(src))
+    slope = np.asarray(dmu1(times), dtype=float)
+    if np.any(~np.isfinite(slope)) or np.any(slope <= 0.0):
+        raise NumericError("mu1 is not strictly increasing on the window")
+    mu2 = compile_fn(simplify(tmap.mu2), ("t", "x"), params)
+    with np.errstate(all="ignore"):
+        image = np.broadcast_to(
+            np.asarray(mu2(times[cols, None], X), dtype=float), X.shape)
+        # numpy arithmetic, so a singular mu2 gives inf rather than raising
+        y0 = float(np.asarray(mu2(times[0], np.float64(x0)), dtype=float))
+    aborted = aborted | ~np.all(np.isfinite(image), axis=0)
+    grid = np.asarray(mu1(times), dtype=float)
+    Z, fresh_aborted = _ensemble(tgt, _linear_law(tgt), seed + FRESH_SEED_OFFSET,
+                                 n_paths, y0, grid, cols)
     return _compare_ensembles(image, aborted, seed, grid[cols], Z,
                               fresh_aborted)

@@ -191,6 +191,18 @@ class TestNullspace:
         for v in basis:
             assert float(np.max(np.abs(R @ v))) < 1e-10
 
+    def test_rank_free_of_row_and_column_scales(self, rng):
+        # the same factors with rows and columns scaled over 24 orders of
+        # magnitude: S v = 0 iff R (c v) = 0
+        R = rng.normal(size=(40, 4)) @ rng.normal(size=(4, 6))
+        r, c = np.logspace(-12, 12, 40), np.logspace(12, -12, 6)
+        basis = nullspace(r[:, None] * R * c)
+        assert len(basis) == 2
+        for v in basis:
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            w = c * v / np.linalg.norm(c * v)
+            assert float(np.max(np.abs(R @ w))) < 1e-10
+
     def test_empty(self):
         assert nullspace(np.zeros((3, 0))) == []
 
@@ -402,6 +414,22 @@ class TestSolveSymmetries:
         env = {"a": 1.0, "b": 1.0, "t": 0.8, "x": 1.1}
         import math as _m
         assert evaluate(ratio, env) == pytest.approx(_m.exp(0.8), rel=1e-9)
+
+    @pytest.mark.parametrize("window", [(0.1, 2.0, 0.5, 2.0), (0.0, 3.0, -2.0, 2.0)])
+    def test_langevin_classical_at_every_rate(self, window):
+        # Brownian motion's three classical generators in Langevin form:
+        # d/dt, exp(2at) d/dt + a x exp(2at) d/dx and exp(at) d/dx, the
+        # second scaled to integers n/d = a.  exp(2at) spans up to e^48 over
+        # the window, yet no sample matrix is refused or cut short.
+        pf = load_problem(os.path.join(PROBLEMS, "langevin.prob"))
+        ans = Ansatz(tau=pf.ansatz.tau, phi=pf.ansatz.phi)
+        for a, n, d in [(0.5, "", "2*"), (1, "", ""), (2, "2*", ""),
+                        (4, "4*", ""), (6, "6*", ""), (8, "8*", "")]:
+            sde = Sde(p("a*x"), p("b"), {"a": float(a), "b": 1.0})
+            basis = solve_symmetries(sde, ans, "classical", window=window)
+            assert sorted(map(str, basis.generators)) == sorted([
+                "[d/dt]^D", "[exp(a*t) d/dx]^D",
+                f"[{d}exp(2*a*t) d/dt + {n}x*exp(2*a*t) d/dx]^D"])
 
     def test_tolerance_mismatch_caught_by_reverification(self):
         # A far too loose rank tolerance cuts real constraints at the SVD

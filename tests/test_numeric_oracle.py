@@ -36,8 +36,8 @@ from sdesym.numeric import (
     KSReport,
     NumericError,
     _checkpoint_indices,
+    _ensemble,
     _flow_image,
-    _fresh_ensemble,
     _simulate_on_grid,
     _simulate_uniform,
     _time_change,
@@ -634,9 +634,9 @@ REFUSALS = {
 
 
 class TestFreshNoiseThread:
-    """Each verifier whose fresh ensemble is simulated (here axinv's, whose
-    drift a/x is not linear) draws its noise on one worker thread and joins
-    it on every path out."""
+    """Each verifier whose ensembles are simulated (here axinv's, whose
+    drift a/x is not linear) gives every one of several concurrent callers
+    its serial report."""
 
     def verifiers(self):
         sde, v, eps, x0 = SYMMETRIES["axinv"]
@@ -644,51 +644,9 @@ class TestFreshNoiseThread:
         yield lambda: verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
         yield lambda: verify_map(src, tgt, tmap, x0=1.0, seed=3, **VERIFY_SIZE)
 
-    def test_one_worker_joined_per_call(self, monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
-        before = threading.active_count()
-        for call in self.verifiers():
-            call()
-            assert threading.active_count() == before
-        assert len(started) == 2
-        assert not any(t.is_alive() for t in started)
-
-    @pytest.mark.parametrize("name", sorted(REFUSALS))
-    def test_refusals_join_the_worker(self, name, monkeypatch):
-        failed = []
-        monkeypatch.setattr(threading, "excepthook", failed.append)
-        before = threading.active_count()
-        error, message = REFUSALS[name]
-        with pytest.raises(error, match=message):
-            _map_refusals(AXINV)[name]()
-        assert threading.active_count() == before
-        assert failed == []   # a failed draw on the worker is not printed
-
-    def test_a_lost_draw_is_drawn_again(self, monkeypatch):
-        # a worker that never fills its box: the caller draws the same
-        # normals itself, so the report does not change
-        want = [call().to_kv() for call in self.verifiers()]
-
-        class Idle(threading.Thread):
-            def start(self):
-                pass
-
-            def join(self, timeout=None):
-                pass
-
-        monkeypatch.setattr(threading, "Thread", Idle)
-        assert [call().to_kv() for call in self.verifiers()] == want
-
     def test_concurrent_calls_keep_their_reports(self):
         # more callers than cores, switching often: each call owns its
-        # worker and its normals, so every report is the serial one
+        # normals, so every report is the serial one
         want = [call().to_kv() for call in self.verifiers()] * 3
         got = [None] * len(want)
         calls = list(self.verifiers()) * 3
@@ -713,15 +671,19 @@ class TestFreshNoiseThread:
 
 class TestExactReference:
     """Both ensembles of a linear SDE are its exact law at the grid rows
-    read: no worker thread, no Euler-Maruyama run, the same refusals, and
-    the moments of that law."""
+    read: no Euler-Maruyama run, the refusals of a simulated SDE, and the
+    moments of that law.  No ensemble, exact or simulated, starts a thread."""
 
     def test_no_thread(self, monkeypatch):
         started = []
         monkeypatch.setattr(threading.Thread, "start", started.append)
-        sde, v, eps, x0 = SYMMETRIES["scaling"]
-        verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
-        verify_map(OU, BROWNIAN, MAPS["paper"], x0=1.0, seed=3, **VERIFY_SIZE)
+        # exact laws, and axinv's simulated ensembles, normals drawn in line
+        for name in ("scaling", "axinv"):
+            sde, v, eps, x0 = SYMMETRIES[name]
+            verify_symmetry(sde, v, eps, x0=x0, seed=3, **VERIFY_SIZE)
+        for name in ("paper", "axinv-identity"):
+            src, tgt, tmap, _ = MAP_CASES[name]
+            verify_map(src, tgt, tmap, x0=1.0, seed=3, **VERIFY_SIZE)
         assert started == []
 
     @pytest.mark.parametrize("name, simulated", [
@@ -756,13 +718,18 @@ class TestExactReference:
         assert ((numeric._linear_law(sde) is None)
                 == (linear_coefficients(sde) is None))
 
+    @pytest.mark.parametrize("ref", [BROWNIAN, AXINV], ids=["exact", "euler"])
     @pytest.mark.parametrize("name", sorted(REFUSALS))
-    def test_same_refusals(self, name, monkeypatch):
-        started = []
+    def test_same_refusals(self, name, ref, monkeypatch):
+        started, failed = [], []
         monkeypatch.setattr(threading.Thread, "start", started.append)
+        monkeypatch.setattr(threading, "excepthook", failed.append)
+        before = threading.active_count()
         error, message = REFUSALS[name]
         with pytest.raises(error, match=message):
-            _map_refusals(BROWNIAN)[name]()
+            _map_refusals(ref)[name]()
+        assert threading.active_count() == before
+        assert failed == []
         assert started == []
 
     @pytest.mark.parametrize("ref", [BROWNIAN, LANGEVIN, SDES["gbm"], AXINV],
@@ -774,9 +741,9 @@ class TestExactReference:
         (np.inf, [0.0, np.nan, 2.0], "time grid must be finite"),
     ])
     def test_fresh_refusals(self, ref, y0, grid, message):
-        with _fresh_ensemble(ref, 4, 2, 1, [1, 2]) as fresh:
-            with pytest.raises(NumericError, match=message):
-                fresh(y0, np.array(grid))
+        with pytest.raises(NumericError, match=message):
+            _ensemble(ref, numeric._linear_law(ref), 1 + FRESH_SEED_OFFSET, 4,
+                      y0, np.array(grid), [1, 2])
 
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)
     def test_bit_identical_to_the_reference(self, n_paths):
@@ -789,8 +756,8 @@ class TestExactReference:
                         (Sde(p("2"), p("0")), 0.25),
                         (Sde(p("1e308*exp(a)"), p("1"), {"a": 50.0}), 0.25),
                         (Sde(p("0"), p("1e308")), 1.7e308)]:
-            with _fresh_ensemble(sde, n_paths, 40, 9, rows) as fresh:
-                Z, aborted = fresh(y0, grid)
+            Z, aborted = _ensemble(sde, numeric._linear_law(sde),
+                                   9 + FRESH_SEED_OFFSET, n_paths, y0, grid, rows)
             _, want, want_aborted = reference_exact_law(
                 sde, y0, grid, n_paths, philox(9 + FRESH_SEED_OFFSET))
             assert same_bits(Z, want[:, rows].T)
@@ -807,8 +774,8 @@ class TestExactReference:
         sde = Sde(p("a"), p("b"), {"a": c, "b": sigma})
         grid = 0.5 + np.cumsum(np.linspace(1e-3, 9e-3, 201)) ** 2
         rows = _checkpoint_indices(200)
-        with _fresh_ensemble(sde, n, 200, 17, rows) as fresh:
-            Z, aborted = fresh(y0, grid)
+        Z, aborted = _ensemble(sde, numeric._linear_law(sde),
+                               17 + FRESH_SEED_OFFSET, n, y0, grid, rows)
         assert Z.shape == (len(rows), n) and not aborted.any()
         for z, k in zip(Z, rows):
             span = grid[k] - grid[0]
