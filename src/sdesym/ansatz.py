@@ -186,7 +186,9 @@ def build_linear_system(ds: DeterminingSystem, points, params):
     unit vector e_j (giving column j of M) and to a random probe (checking
     that the residual is affine).  Entries within 1e-12 of the sum of
     |top-level terms|, the magnitude that cancels, are snapped to zero.
-    Raises NonAffineError when a residual is not affine in the unknowns and
+    The probe's value may miss b + M @ probe by 1e-6 of the largest of 1,
+    |b|, max |M| and that magnitude at the probe; beyond it NonAffineError
+    is raised, as the residual is not affine in the unknowns.  Raises
     AnsatzError when a point hits an evaluation domain error.
     """
     names = tuple(ds.unknowns)
@@ -208,15 +210,16 @@ def build_linear_system(ds: DeterminingSystem, points, params):
     V = V.reshape(len(pts), n + 2, -1)
     starts = np.cumsum([0, *map(len, terms)])[:-1]
     value = np.add.reduceat(V, starts, axis=-1)
-    tiny = 1e-12 * np.maximum(1.0, np.add.reduceat(np.abs(V), starts, axis=-1))
+    size = np.add.reduceat(np.abs(V), starts, axis=-1)
+    tiny = 1e-12 * np.maximum(1.0, size)
     base = np.where(np.abs(value[:, 0]) <= tiny[:, 0], 0.0, value[:, 0])
     cols = value[:, 1: n + 1] - base[:, None]
     cols = np.where(np.abs(cols) <= tiny[:, 1: n + 1], 0.0, cols)
     M = cols.transpose(0, 2, 1).reshape(rows, n)
     b = base.reshape(rows)
     defect = np.abs(value[:, -1].reshape(rows) - (b + M @ probe))
-    bound = 1e-6 * np.maximum(np.maximum(1.0, np.abs(b)),
-                              np.max(np.abs(M), axis=1, initial=0.0))
+    bound = 1e-6 * np.max([np.abs(b), np.max(np.abs(M), axis=1, initial=0.0),
+                           size[:, -1].reshape(rows)], axis=0, initial=1.0)
     if n and np.any(defect > bound):
         raise NonAffineError(
             "non-affine residual detected: a quadratic coefficient term survives")

@@ -211,67 +211,55 @@ def residual_check(ds: DeterminingSystem, params=None,
 # ---------------------------------------------------------------------------
 # deterministic flows with time change
 
-def _time_change(v: VectorField, params, eps: float, n_sub: int, times):
-    """(beta, J) of the flow at r = eps from beta = `times`, J = 1, and
-    each RK4 substep's four stage times, along which F is transported."""
-    tau = compile_fn(v.tau, ("t",), params)
-    tau_t = compile_fn(diff(v.tau, "t"), ("t",), params)
-    beta = np.array(times, dtype=float, copy=True)
-    J = np.ones_like(beta)
+def _flow(tau, tau_t, phi, eps: float, n_sub: int, times, J, moved):
+    """beta, the time change dbeta/dr = tau(beta) at r = eps from beta =
+    `times`, by n_sub RK4 substeps.  Each substep forms its four stage times
+    once and moves along them, in place, J (dJ/dr = tau_t(beta) J, one cell
+    per grid time; skipped if None) and each (rows, Y) of `moved` (dY/dr =
+    phi(beta[rows], Y), one row of Y per grid row in `rows`, across its
+    paths), with three buffers per state.
+
+    Per cell the roundings are those of Y + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+    with k2 = phi(b2, Y + (h/2) k1) etc., for beta as for J and Y; a sum may
+    take its operands in swapped order (IEEE addition commutes), so that
+    most passes update a buffer in place and stream two arrays rather than
+    three.  tau, tau_t and phi may return their argument or a scalar.
+    """
     h = eps / n_sub
-    stages = []
-
-    def _a(val):
-        return np.broadcast_to(np.asarray(val, dtype=float), beta.shape)
-
+    c_half, c_sixth = 0.5 * h, h / 6.0
+    beta = np.array(times, dtype=float, copy=True)
+    states = [] if J is None else [(lambda b, F: tau_t(b) * F, ..., J)]
+    states += [(phi, (rows,) + (None,) * (Y.ndim - 1), Y) for rows, Y in moved]
+    states = [(f, at, Y, *(np.empty_like(Y) for _ in range(3)))
+              for f, at, Y in states]
     with np.errstate(all="ignore"):
         for _ in range(n_sub):
-            k1b = _a(tau(beta))
-            b2 = beta + 0.5 * h * k1b
-            k2b = _a(tau(b2))
-            b3 = beta + 0.5 * h * k2b
-            k3b = _a(tau(b3))
+            k1b = tau(beta)
+            b2 = beta + c_half * k1b
+            k2b = tau(b2)
+            b3 = beta + c_half * k2b
+            k3b = tau(b3)
             b4 = beta + h * k3b
-            k4b = _a(tau(b4))
-            stages.append((beta, b2, b3, b4))
-            beta = beta + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-    _transport(lambda b, F: tau_t(b) * F, h, stages, J)
-    return beta, J, stages
-
-
-def _transport(phi, h: float, stages, F: np.ndarray) -> None:
-    """dF/dr = phi(beta, F) by RK4 over the given stage times, in place.
-
-    F and each stage time array hold one row per grid time; F goes through
-    every substep with three preallocated buffers.  Per cell the roundings
-    are those of F + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
-    k2 = phi(b2, F + (h/2) k1) etc.; a sum may take its operands in swapped
-    order (IEEE addition commutes), so that most passes update a buffer in
-    place and stream two arrays rather than three.  phi may return its
-    argument or a scalar.
-    """
-    pad = (1,) * (F.ndim - 1)   # a stage time per row, across its paths
-    c_half, c_sixth = 0.5 * h, h / 6.0
-    arg, acc, tmp = (np.empty_like(F) for _ in range(3))
-    with np.errstate(all="ignore"):
-        for st in stages:
-            b1, b2, b3, b4 = (np.reshape(s, s.shape + pad) for s in st)
-            k1 = phi(b1, F)              # F itself if phi = x
-            np.multiply(k1, c_half, out=arg)
-            np.add(arg, F, out=arg)
-            k = phi(b2, arg)             # arg itself if phi = x
-            np.multiply(k, 2, out=acc)
-            np.add(acc, k1, out=acc)
-            np.multiply(k, c_half, out=arg)
-            np.add(arg, F, out=arg)
-            k = phi(b3, arg)
-            np.multiply(k, 2, out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.multiply(k, h, out=arg)
-            np.add(arg, F, out=arg)
-            np.add(acc, phi(b4, arg), out=acc)
-            np.multiply(acc, c_sixth, out=acc)
-            np.add(F, acc, out=F)
+            k4b = tau(b4)
+            for f, at, Y, arg, acc, tmp in states:
+                k1 = f(beta[at], Y)          # Y itself if phi = x
+                np.multiply(k1, c_half, out=arg)
+                np.add(arg, Y, out=arg)
+                k = f(b2[at], arg)           # arg itself if phi = x
+                np.multiply(k, 2, out=acc)
+                np.add(acc, k1, out=acc)
+                np.multiply(k, c_half, out=arg)
+                np.add(arg, Y, out=arg)
+                k = f(b3[at], arg)
+                np.multiply(k, 2, out=tmp)
+                np.add(acc, tmp, out=acc)
+                np.multiply(k, h, out=arg)
+                np.add(arg, Y, out=arg)
+                np.add(acc, f(b4[at], arg), out=acc)
+                np.multiply(acc, c_sixth, out=acc)
+                np.add(Y, acc, out=Y)
+            beta = beta + c_sixth * (k1b + 2 * k2b + 2 * k3b + k4b)
+    return beta
 
 
 def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
@@ -281,24 +269,26 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
     place).
 
     X holds every path at the grid rows `cols` (a slice or an index array).
-    Returns the image grid, the images of X with the bits of a whole
-    transport, and `aborted` or'ed with a non-finite image.
+    One `_flow` pass of FLOW_SUBSTEPS moves the time change, its density J,
+    `sub` and X; the step-halving pass of twice as many substeps moves the
+    time change and a copy of `sub` only.  Returns the image grid, the
+    images of X, and `aborted` or'ed with a non-finite image.
     """
     if v.has_stochastic_part():
         raise FlowError("the flow is simulated for deterministic generators "
                         "only (phitilde must vanish)")
     if not v.time_only_tau():
         raise FlowError("tau must depend on t only")
+    tau, tau_t = (compile_fn(e, ("t",), params) for e in (v.tau, diff(v.tau, "t")))
     phi = compile_fn(v.phi, ("t", "x"), params)
-    h = eps / FLOW_SUBSTEPS
-    beta, J, stages = _time_change(v, params, eps, FLOW_SUBSTEPS, times)
+    J, sub2, F = np.ones(np.shape(times)), np.array(sub), np.array(X, order="C")
+    beta = _flow(tau, tau_t, phi, eps, FLOW_SUBSTEPS, times, J,
+                 [(slice(None), sub), (cols, F)])
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(J))):
         raise FlowError("time change is not finite at this eps")
     # step-halving convergence check on the grid and a path subsample
-    beta2, _, stages2 = _time_change(v, params, eps, 2 * FLOW_SUBSTEPS, times)
-    sub2 = np.array(sub)
-    _transport(phi, eps / (2 * FLOW_SUBSTEPS), stages2, sub2)
-    _transport(phi, h, stages, sub)
+    beta2 = _flow(tau, tau_t, phi, eps, 2 * FLOW_SUBSTEPS, times, None,
+                  [(slice(None), sub2)])
     with np.errstate(invalid="ignore"):
         diffs = np.abs(sub2 - sub)
     # aborted or blown-up paths are dropped below, not held against the flow
@@ -309,8 +299,6 @@ def _flow_image(v: VectorField, eps: float, params, times, sub, cols, X,
             f"flow integration did not converge (step-halving difference {conv:.3e})")
     if np.any(J <= 0.0) or np.any(np.diff(beta) <= 0.0):
         raise FlowError("time change lost monotonicity at this eps")
-    F = np.array(X, order="C")
-    _transport(phi, h, [[s[cols] for s in st] for st in stages], F)
     return beta, F, aborted | ~np.all(np.isfinite(F), axis=0)
 
 

@@ -11,6 +11,17 @@ import sympy as sp
 from sdesym import expr as ex
 from sdesym import lie
 from sdesym.ansatz import _field_features
+from sdesym.numeric import FLOW_SUBSTEPS, _flow
+
+
+def time_change(v, params, eps, times):
+    """(beta, J) of the production flow of v at r = eps from `times`: the
+    time change and its density, moved in one `_flow` pass of
+    FLOW_SUBSTEPS."""
+    tau, tau_t = (ex.compile_fn(e, ("t",), params)
+                  for e in (v.tau, ex.diff(v.tau, "t")))
+    J = np.ones(np.shape(times))
+    return _flow(tau, tau_t, None, eps, FLOW_SUBSTEPS, times, J, []), J
 
 
 # ---------------------------------------------------------------------------

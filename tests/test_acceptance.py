@@ -27,7 +27,7 @@ from sdesym.determining import (
 )
 from sdesym.expr import ZERO, EvalError, diff, parse, simplify
 from sdesym.lie import apply_match, bracket, match_basis, structure_constants
-from sdesym.numeric import _flow_image, _simulate_uniform, _time_change, verify_map
+from sdesym.numeric import _flow_image, _simulate_uniform, verify_map
 from sdesym.transform import PairedSymmetries, TransformMap, transformation_system
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     express_in_basis,
     random_expr,
     random_point,
+    time_change,
 )
 
 PA = ("a", "b", "alpha", "beta")
@@ -329,9 +330,9 @@ def test_criterion_9_property_suite(rng):
 
     # (f) eta^2 equals d(beta)/dt to rel. 1e-5
     for t in (0.1, 0.8, 1.7):
-        eta2 = float(_time_change(scaling, {}, 0.2, 64, np.array([t]))[1][0])
+        eta2 = float(time_change(scaling, {}, 0.2, np.array([t]))[1][0])
         d = 1e-5
-        ends = _time_change(scaling, {}, 0.2, 64, np.array([t - d, t + d]))[0]
+        ends = time_change(scaling, {}, 0.2, np.array([t - d, t + d]))[0]
         fd = float(ends[1] - ends[0]) / (2 * d)
         assert abs(eta2 - fd) <= 1e-5 * max(1.0, abs(fd))
 

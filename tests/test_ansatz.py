@@ -239,6 +239,25 @@ class TestBuildLinearSystem:
         with pytest.raises(AnsatzError, match="non-affine"):
             build_linear_system(ds, sample_points(8, seed=3), {})
 
+    @pytest.mark.parametrize("margin, refused", [(1.001, True), (0.999, False)])
+    def test_affine_gate_is_relative_to_the_cancelling_magnitude(self, margin,
+                                                                 refused):
+        # Two terms of 1e6 |c0 c1| cancel exactly at the probe, and b and M
+        # are 0, so the defect q |c0 c1| is refused iff it exceeds
+        # 1e-6 (2e6 + q) |c0 c1|, that is iff q > 2 / (1 - 1e-6).
+        q = margin * 2 / (1 - 1e-6)
+        res = parse(f"1e6*_c0*_c1 - 1e6*_c0*_c1 + {q!r}*_c0*_c1",
+                    parameters=("_c0", "_c1"))
+        assert len(res.children) == 3
+        ds = DeterminingSystem((res,), unknowns=("_c0", "_c1"))
+        points = [(0.1 * k, 1.0) for k in range(1, 7)]
+        if refused:
+            with pytest.raises(AnsatzError, match="non-affine"):
+                build_linear_system(ds, points, {})
+        else:
+            M, b = build_linear_system(ds, points, {})
+            assert np.all(M == 0.0) and np.all(b == 0.0)
+
     def test_matches_scalar_reference_on_shipped_systems(self):
         systems = shipped_systems()
         assert len(systems) == 7  # stage 2 of all four problems, stage 1 of three
@@ -430,6 +449,21 @@ class TestSolveSymmetries:
             assert sorted(map(str, basis.generators)) == sorted([
                 "[d/dt]^D", "[exp(a*t) d/dx]^D",
                 f"[{d}exp(2*a*t) d/dt + {n}x*exp(2*a*t) d/dx]^D"])
+
+    @pytest.mark.parametrize("a", [10, 12, 16])
+    def test_langevin_stochastic_at_large_rates(self, a):
+        # The three classical generators above, and the noise shift: with
+        # y = x/b the drift is F(y) = a y, so phitilde = k(t) b with
+        # k' = F' k = a k, that is b exp(at), scaled to exp(a*t).  exp(2at)
+        # reaches e^(4a) (up to e^64) at t = 2, and the probe's affine check
+        # is relative to the magnitude that cancels there.
+        pf = load_problem(os.path.join(PROBLEMS, "langevin.prob"))
+        sde = Sde(p("a*x"), p("b"), {"a": float(a), "b": 1.0})
+        for seed in (1, 7, 42, 2026):
+            basis = solve_symmetries(sde, pf.ansatz, "stochastic", seed=seed)
+            assert sorted(map(str, basis.generators)) == sorted([
+                "[d/dt]^D", "[exp(a*t) d/dx]^D", "[exp(a*t) d/dx]^S",
+                f"[exp(2*a*t) d/dt + {a}*x*exp(2*a*t) d/dx]^D"])
 
     def test_tolerance_mismatch_caught_by_reverification(self):
         # A far too loose rank tolerance cuts real constraints at the SVD

@@ -15,13 +15,14 @@ from sdesym.numeric import (
     _flow_image,
     _kolmogorov_sf,
     _simulate_uniform,
-    _time_change,
     ks_two_sample,
     residual_check,
     verify_map,
     verify_symmetry,
 )
 from sdesym.transform import TransformMap
+
+from conftest import time_change
 
 P = ("a", "b")
 
@@ -168,9 +169,9 @@ class TestFlow:
         # J, the variational factor, is the squared time-change density
         v = VectorField(p("2*t"), p("x"))
         for t in (0.1, 0.8, 1.7):
-            eta2 = float(_time_change(v, {}, 0.2, 64, np.array([t]))[1][0])
+            eta2 = float(time_change(v, {}, 0.2, np.array([t]))[1][0])
             d = 1e-5
-            ends = _time_change(v, {}, 0.2, 64, np.array([t - d, t + d]))[0]
+            ends = time_change(v, {}, 0.2, np.array([t - d, t + d]))[0]
             fd = float(ends[1] - ends[0]) / (2 * d)
             assert abs(eta2 - fd) <= 1e-5 * max(1.0, abs(fd))
 

@@ -17,6 +17,7 @@ start rather than step by step, so it agrees with that loop to rounding
 samples, so the reports are the same.
 """
 
+import collections
 import math
 import sys
 import threading
@@ -29,6 +30,7 @@ from sdesym.determining import Sde, VectorField
 from sdesym.expr import compile_fn, diff, parse, simplify
 from sdesym import numeric
 from sdesym.numeric import (
+    FLOW_SUBSTEPS,
     FRESH_SEED_OFFSET,
     KS_P_THRESHOLD,
     Checkpoint,
@@ -37,11 +39,10 @@ from sdesym.numeric import (
     NumericError,
     _checkpoint_indices,
     _ensemble,
+    _flow,
     _flow_image,
     _simulate_on_grid,
     _simulate_uniform,
-    _time_change,
-    _transport,
     ks_two_sample,
     verify_map,
     verify_symmetry,
@@ -298,13 +299,18 @@ def same_bits(a, b):
         np.ascontiguousarray(b).view(np.uint64))
 
 
+def compiled(v, params):
+    """tau, diff(tau, t) and phi of v, compiled as `_flow_image` compiles them."""
+    return (*(compile_fn(e, ("t",), params) for e in (v.tau, diff(v.tau, "t"))),
+            compile_fn(v.phi, ("t", "x"), params))
+
+
 def flow(v, params, eps, n_sub, times, states):
     """(beta, J, F) of the production flow: the time change on `times`, and
-    a copy of `states` (one row per grid time) transported along its stage
-    times."""
-    beta, J, stages = _time_change(v, params, eps, n_sub, times)
-    F = np.array(states, dtype=float)
-    _transport(compile_fn(v.phi, ("t", "x"), params), eps / n_sub, stages, F)
+    its density J and a copy of `states` (one row per grid time) moved in
+    the same pass."""
+    J, F = np.ones(np.shape(times)), np.array(states, dtype=float)
+    beta = _flow(*compiled(v, params), eps, n_sub, times, J, [(slice(None), F)])
     return beta, J, F
 
 
@@ -425,6 +431,67 @@ class TestFlowOracle:
             lone = reference_flow(FIELDS[name], {"a": 1.0}, eps, 64,
                                   np.array(times[0]), np.array(1.2))[2]
             assert same_bits(moved[:1, 0], np.reshape(lone, 1))
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_one_pass_moves_each_state_as_alone(self, name):
+        # J, the whole-grid paths and the paths at the checkpoint rows,
+        # moved in one pass, get the bits each gets when moved alone
+        tau, tau_t, phi = compiled(FIELDS[name], {"a": 1.0})
+        times, X, _ = _simulate_uniform(BROWNIAN, 0.5, 1e-2, 200, 31, 7,
+                                        range(201))
+        cols = _checkpoint_indices(200)
+        for eps in (0.2, -0.15):
+            J, sub, F = np.ones(201), X[:, :8].copy(), X[cols]
+            beta = _flow(tau, tau_t, phi, eps, 64, times, J,
+                         [(slice(None), sub), (cols, F)])
+            J_alone = np.ones(201)
+            assert same_bits(_flow(tau, tau_t, None, eps, 64, times, J_alone,
+                                   []), beta)
+            assert same_bits(J_alone, J)
+            for rows, Y in ((slice(None), sub), (cols, F)):
+                alone = X[rows, :Y.shape[1]].copy()
+                assert same_bits(_flow(tau, None, phi, eps, 64, times, None,
+                                       [(rows, alone)]), beta)
+                assert same_bits(alone, Y)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_density_leaves_the_time_change_unchanged(self, name):
+        tau, tau_t, _ = compiled(FIELDS[name], {"a": 1.0})
+        times = np.linspace(0.0, 2.0, 201)
+        for eps, n_sub in ((0.2, 64), (-0.15, 128)):
+            with_J = _flow(tau, tau_t, None, eps, n_sub, times, np.ones(201), [])
+            assert same_bits(_flow(tau, None, None, eps, n_sub, times, None, []),
+                             with_J)
+            assert same_bits(with_J, reference_flow(FIELDS[name], {"a": 1.0},
+                                                    eps, n_sub, times)[0])
+
+    def test_flow_image_moves_the_density_once(self, monkeypatch):
+        # tau, tau_t and phi are compiled once each.  tau_t is read at the
+        # four stage times of the FLOW_SUBSTEPS substeps only: the
+        # step-halving pass does not move J.
+        v = FIELDS["mixed"]
+        exprs = {str(e): 0 for e in (v.tau, diff(v.tau, "t"), v.phi)}
+        calls = collections.Counter()
+
+        def counting(e, names, params):
+            fn = compile_fn(e, names, params)
+            exprs[str(e)] += 1
+
+            def counted(*args):
+                calls[str(e)] += 1
+                return fn(*args)
+            return counted
+
+        times, sub, _ = _simulate_uniform(BROWNIAN, 1.2, 1e-2, 100, 8, 7,
+                                          range(101))
+        cols = _checkpoint_indices(100)
+        monkeypatch.setattr(numeric, "compile_fn", counting)
+        _flow_image(v, 0.2, {"a": 1.0}, times, sub, cols, sub[cols],
+                    np.zeros(8, dtype=bool))
+        assert list(exprs.values()) == [1, 1, 1]
+        assert calls == {str(v.tau): 4 * 3 * FLOW_SUBSTEPS,
+                         str(diff(v.tau, "t")): 4 * FLOW_SUBSTEPS,
+                         str(v.phi): 4 * 4 * FLOW_SUBSTEPS}
 
 
 class TestNonFiniteTimes:

@@ -7,7 +7,6 @@ from sdesym.ansatz import Ansatz, sample_points, solve_symmetries
 from sdesym.determining import Sde, VectorField
 from sdesym.expr import diff, parse, simplify
 from sdesym.lie import apply_match, match_basis, structure_constants
-from sdesym.numeric import _time_change
 from sdesym.transform import (
     NoMapError,
     PairedSymmetries,
@@ -19,7 +18,7 @@ from sdesym.transform import (
     transformation_system,
 )
 
-from conftest import evaluate
+from conftest import evaluate, time_change
 
 PA = ("alpha", "beta")
 
@@ -306,8 +305,8 @@ class TestPipelineIntegration:
         params = {"alpha": 1.0, "beta": 0.0}
 
         def central(v, t, h):
-            bp = _time_change(v, params, h, 64, np.array([t]))[0][0]
-            bm = _time_change(v, params, -h, 64, np.array([t]))[0][0]
+            bp = time_change(v, params, h, np.array([t]))[0][0]
+            bm = time_change(v, params, -h, np.array([t]))[0][0]
             return (bp - bm) / (2 * h)
 
         for v, _ in matched_pairs(1.0, 0.0):
