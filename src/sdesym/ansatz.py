@@ -366,11 +366,32 @@ def _field_features(v: VectorField, points, params) -> np.ndarray:
     return finite_points((v.tau, v.phi, v.phitilde), points, params).reshape(-1)
 
 
-def max_residual(sde: Sde, v: VectorField, mode: str, points, params) -> float:
-    """Max |residual| of the full determining system for a concrete field
-    (inf when a residual is non-finite at some point)."""
-    system = build_system(sde, v, mode)
-    return float(_max_abs(evaluate_points(system.residuals, points, params)))
+@dataclass(frozen=True)
+class ResidualReport:
+    max_abs: float
+    passed: bool
+    tol: float
+    n_points: int
+    per_residual: tuple  # max |residual_i| over the point set
+
+    def to_kv(self) -> str:
+        lines = [f"residual.max_abs = {self.max_abs:.6e}",
+                 f"residual.tol = {self.tol:.1e}",
+                 f"residual.n_points = {self.n_points}",
+                 f"residual.pass = {str(self.passed).lower()}"]
+        for i, m in enumerate(self.per_residual, start=1):
+            lines.append(f"residual.{i}.max_abs = {m:.6e}")
+        return "\n".join(lines)
+
+
+def max_residual(residuals, points, params) -> ResidualReport:
+    """The one residual gate: evaluate the residuals at the points and pass
+    iff the largest magnitude is <= VERIFY_TOL (a non-finite value counts
+    as inf, so it never passes)."""
+    per = _max_abs(evaluate_points(residuals, points, params), axis=0)
+    worst = float(_max_abs(per))
+    return ResidualReport(worst, worst <= VERIFY_TOL, VERIFY_TOL, len(points),
+                          tuple(float(m) for m in per))
 
 
 def _is_numerically_zero(e: Expr, points, params) -> bool:
@@ -387,7 +408,8 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     substitutes each stage-1 direction (and phitilde = 0) and solves the
     remaining rows for (tau, phi), carrying q = scale^2 as an extra affine
     unknown whenever the quadratic coupling does not vanish.  Every returned
-    generator is re-verified against the full system on a fresh point set.
+    generator is re-verified against the full system on a fresh point set
+    through the one residual gate, `max_residual`.
 
     ``tol`` is the relative SVD rank cut: singular values ``s > tol*s[0]``
     count towards the rank.  ``VERIFY_TOL`` is an absolute bound on the
@@ -482,11 +504,11 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
     norms = []
     feats = []
     for v in candidates:
-        res = max_residual(sde, v, mode, fresh, params)
-        if res > VERIFY_TOL:
+        rep = max_residual(build_system(sde, v, mode).residuals, fresh, params)
+        if not rep.passed:
             raise AnsatzError(
-                f"verification failure: generator {v} has residual {res:.3e} "
-                f"> {VERIFY_TOL:.1e} at fresh points (rank tolerance misconfigured?)")
+                f"verification failure: generator {v} has residual {rep.max_abs:.3e} > "
+                f"{rep.tol:.1e} at fresh points (rank tolerance misconfigured?)")
         feat = _field_features(v, fresh, params)
         norm = float(np.linalg.norm(feat))
         if norm == 0.0:
@@ -498,7 +520,7 @@ def solve_symmetries(sde: Sde, a: Ansatz, mode: str = "stochastic", *,
                 continue  # dependent on earlier generators
         feats.append(feat)
         generators.append(v)
-        norms.append(res)
+        norms.append(rep.max_abs)
 
     return SymmetryBasis(tuple(generators), mode, tuple(norms),
                          stage1_dimension=len(stage1_dirs))

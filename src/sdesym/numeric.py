@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import DEFAULT_WINDOW, VERIFY_TOL, _max_abs, sample_points
+from .ansatz import DEFAULT_WINDOW, ResidualReport, _max_abs, max_residual, sample_points
 from .determining import DeterminingSystem, Sde, VectorField
-from .expr import compile_fn, diff, evaluate_points, mul, simplify, var, variables_of
+from .expr import compile_fn, diff, mul, simplify, var, variables_of
 from .transform import TransformMap
 
 FRESH_SEED_OFFSET = 1_000_003
@@ -176,36 +176,16 @@ def _ou_noise(a: float, s, normals) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # residual certification
 
-@dataclass(frozen=True)
-class ResidualReport:
-    max_abs: float
-    passed: bool
-    tol: float
-    n_points: int
-    per_residual: tuple  # max |residual_i| over the point set
-
-    def to_kv(self) -> str:
-        lines = [f"residual.max_abs = {self.max_abs:.6e}",
-                 f"residual.tol = {self.tol:.1e}",
-                 f"residual.n_points = {self.n_points}",
-                 f"residual.pass = {str(self.passed).lower()}"]
-        for i, m in enumerate(self.per_residual, start=1):
-            lines.append(f"residual.{i}.max_abs = {m:.6e}")
-        return "\n".join(lines)
-
-
 def residual_check(ds: DeterminingSystem, params=None,
                    window=DEFAULT_WINDOW, seed: int = 0) -> ResidualReport:
-    """Evaluate every residual at 200 quasi-random points; pass iff the
-    largest magnitude is <= VERIFY_TOL.  Points hitting domain errors are
-    rejected and resampled up to a retry cap."""
+    """Gate every residual at 200 quasi-random points through the one
+    residual gate, `ansatz.max_residual`: pass iff the largest magnitude is
+    <= VERIFY_TOL.  Points hitting domain errors are rejected and resampled
+    up to a retry cap."""
     params = dict(params or {})
     points = sample_points(200, window, seed, reject=ds.residuals,
                            params=params)
-    per = _max_abs(evaluate_points(ds.residuals, points, params), axis=0)
-    worst = float(_max_abs(per))
-    return ResidualReport(worst, worst <= VERIFY_TOL, VERIFY_TOL, len(points),
-                          tuple(float(m) for m in per))
+    return max_residual(ds.residuals, points, params)
 
 
 # ---------------------------------------------------------------------------

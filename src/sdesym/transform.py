@@ -23,14 +23,13 @@ import numpy as np
 
 from .ansatz import (
     DEFAULT_WINDOW,
-    VERIFY_TOL,
     NonAffineError,
     _fresh_names,
     _linear_combo,
-    _max_abs,
     _snap_small_rationals,
     _vec_to_expr,
     build_linear_system,
+    max_residual,
     sample_points,
 )
 from .determining import DeterminingSystem, VectorField, _derivatives, _ito_terms
@@ -121,11 +120,6 @@ def transformation_system(pairs: PairedSymmetries, mu1: Expr, mu2: Expr,
     return DeterminingSystem(tuple(map(simplify, residuals)), unknowns=tuple(unknowns))
 
 
-def _system_max_residual(pairs, tmap: TransformMap, points, params) -> float:
-    system = transformation_system(pairs, tmap.mu1, tmap.mu2)
-    return float(_max_abs(evaluate_points(system.residuals, points, params)))
-
-
 def _monotone_mu1(mu1: Expr, window, params) -> bool:
     t0, t1 = window[0], window[1]
     xm = 0.5 * (window[2] + window[3])
@@ -141,9 +135,10 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
     Affine targets take the evaluation-based least-squares path with the
     minimum-coefficient-norm gauge (or a pinned value mu(t0, x0) = (v1, v2)
     via `pin`); non-affine targets fall back to Gauss-Newton from 32
-    starts.  The returned map is re-verified on fresh
-    points (max |residual| <= VERIFY_TOL) and checked for monotone mu1 and
-    for mu2_x of one sign (an x-invertible mu2) at those points.
+    starts.  The returned map is re-verified on fresh points through the
+    one residual gate, `ansatz.max_residual` (max |residual| <= VERIFY_TOL),
+    and checked for monotone mu1 and for mu2_x of one sign (an x-invertible
+    mu2) at those points.
     """
     params = dict(params or {})
     mu1_basis = tuple(mu1_basis)
@@ -196,10 +191,11 @@ def solve_map(pairs: PairedSymmetries, mu1_basis, mu2_basis, *,
             np.max(np.abs(M @ c + b))) <= max(feas, 1e-10 * scale, 1e-12))
 
     tmap = _to_map(coeffs)
-    resid = _system_max_residual(pairs, tmap, fresh, params)
-    if resid > VERIFY_TOL:
+    rep = max_residual(transformation_system(pairs, tmap.mu1, tmap.mu2).residuals,
+                       fresh, params)
+    if not rep.passed:
         raise NoMapError(
-            f"candidate map fails re-verification: residual {resid:.3e}")
+            f"candidate map fails re-verification: residual {rep.max_abs:.3e}")
     if not _monotone_mu1(tmap.mu1, window, params):
         raise TransformError(
             "mu1 is not strictly increasing on the verification window")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -300,9 +301,10 @@ class TestBuildLinearSystem:
         v = VectorField(p("2*t"), p("x + 1e-12*(x - 1)^(5/2)"))
         points = sample_points(16, seed=3)
         assert any(x < 1.0 for _, x in points)
-        assert max_residual(BROWNIAN, v, "classical", points, {}) == math.inf
+        residuals = build_system(BROWNIAN, v, "classical").residuals
+        assert max_residual(residuals, points, {}).max_abs == math.inf
         above = [(t, x) for t, x in points if x > 1.0]
-        assert max_residual(BROWNIAN, v, "classical", above, {}) < 1e-8
+        assert max_residual(residuals, above, {}).max_abs < 1e-8
 
 
 class TestSolveSymmetries:
@@ -418,7 +420,8 @@ class TestSolveSymmetries:
         basis = solve_symmetries(BROWNIAN, ans, "stochastic")
         pts = sample_points(50, seed=31)
         for g in basis:
-            assert max_residual(BROWNIAN, g, "stochastic", pts, {}) < 1e-8
+            residuals = build_system(BROWNIAN, g, "stochastic").residuals
+            assert max_residual(residuals, pts, {}).max_abs < 1e-8
 
     def test_langevin_stage1_forces_exponential_direction(self):
         # dictionary {1, x, e^{at}}: row (iv) kills x, row (ii) kills the
@@ -464,6 +467,32 @@ class TestSolveSymmetries:
             assert sorted(map(str, basis.generators)) == sorted([
                 "[d/dt]^D", "[exp(a*t) d/dx]^D", "[exp(a*t) d/dx]^S",
                 f"[exp(2*a*t) d/dt + {a}*x*exp(2*a*t) d/dx]^D"])
+
+    @pytest.mark.parametrize("c, coeff, refused", [
+        ("2.6e-9", "13/5000000000", True),
+        ("2.4e-9", "3/1250000000", False),
+    ])
+    def test_reverification_gate_from_both_sides(self, c, coeff, refused):
+        # At the rank cut tol = 1e-8 the near-symmetry 2*(t + c*t^2) d/dt +
+        # x d/dx enters the nullspace.  Its classical row for the diffusion
+        # is phi_x - tau_t/2 = 1 - (1 + 2*c*t) = -2*c*t, the drift row is 0,
+        # so its residual is 2*c*max(t) over the fresh points
+        ans = Ansatz(tau=(p("1"), p(f"t + {c}*t^2")), phi=PHI1X)
+        fresh = sample_points(32, seed=2027)  # solve_symmetries' defaults
+        resid = 2 * float(c) * max(t for t, _ in fresh)
+        near = f"[2*(t + {coeff}*t^2) d/dt + x d/dx]^D"
+        if refused:
+            assert f"{resid:.3e}" == "1.017e-08"
+            with pytest.raises(AnsatzError, match=(
+                    rf"^verification failure: generator {re.escape(near)} has "
+                    rf"residual 1\.017e-08 > 1\.0e-08 at fresh points")):
+                solve_symmetries(BROWNIAN, ans, "classical", tol=1e-8)
+            return
+        basis = solve_symmetries(BROWNIAN, ans, "classical", tol=1e-8)
+        got = dict(zip(map(str, basis.generators), basis.residual_norms))
+        assert sorted(got) == sorted(["[d/dt]^D", near, "[d/dx]^D"])
+        assert got[near] == pytest.approx(resid, rel=1e-12)
+        assert f"{resid:.3e}" == "9.389e-09"
 
     def test_tolerance_mismatch_caught_by_reverification(self):
         # A far too loose rank tolerance cuts real constraints at the SVD

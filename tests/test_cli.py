@@ -460,6 +460,31 @@ class TestVerifySymmetry:
         assert code == 5
         assert "residual.pass = false" in out
 
+    @pytest.mark.parametrize("n, code, mag, passed", [
+        (101, 5, "1.010000e-08", "false"),
+        (99, 0, "9.900000e-09", "true"),
+    ])
+    def test_residual_block_at_the_gate(self, capsys, gen_file, n, code, mag,
+                                        passed):
+        # phi = c*t with c = n/10^10 on Brownian motion: row (i) is phi_t = c
+        # at every one of the 200 points, rows (ii)-(iv) are 0, so the gate
+        # VERIFY_TOL = 1e-8 refuses c = 1.01e-8 before any simulation and
+        # passes c = 0.99e-8 on to the KS check
+        path = gen_file(f"tau = 0\nphi = {n}/10000000000*t\n")
+        got, out, _ = run(capsys, "--paths", "200", "verify-symmetry",
+                          prob("brownian.prob"), "--generator", path)
+        assert got == code
+        block = (f"residual.max_abs = {mag}\n"
+                 f"residual.tol = 1.0e-08\n"
+                 f"residual.n_points = 200\n"
+                 f"residual.pass = {passed}\n"
+                 f"residual.1.max_abs = {mag}\n"
+                 f"residual.2.max_abs = 0.000000e+00\n"
+                 f"residual.3.max_abs = 0.000000e+00\n"
+                 f"residual.4.max_abs = 0.000000e+00\n")
+        assert out.startswith(block)
+        assert ("checkpoint" in out) == (passed == "true")
+
 
 class TestVerifyMap:
     def test_paper_map_passes(self, capsys, gen_file):

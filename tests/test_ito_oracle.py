@@ -188,8 +188,9 @@ def test_transformation_system_trees_type_strict(start):
 ])
 def test_q_device_builds_no_system_per_direction(monkeypatch, problem, mode,
                                                  directions):
-    # stage 1 and stage 2 build one system each; every other build is the
-    # re-verification of a candidate in max_residual
+    # stage 1 and stage 2 build one system each; every other build is
+    # solve_symmetries' own, for the re-verification of a candidate that it
+    # passes to max_residual
     pf = load_problem(os.path.join(ROOT, problem))
     calls = {"build_system": 0, "max_residual": 0}
 

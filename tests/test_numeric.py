@@ -113,6 +113,15 @@ class TestResidualCheck:
         assert 1.0 < rep.per_residual[1] <= 1.0 / 0.5 ** 2
         assert rep.max_abs >= rep.per_residual[1]
 
+    @pytest.mark.parametrize("c, passed", [(1.01e-8, False), (0.99e-8, True)])
+    def test_gate_from_both_sides(self, c, passed):
+        # Brownian motion, classical mode, phi = c*t: row (i) is phi_t = c at
+        # every point and row (ii) is 0, so the largest magnitude is c
+        ds = build_system(BROWNIAN, VectorField(phi=p(f"{c!r}*t")), "classical")
+        rep = residual_check(ds)
+        assert rep.max_abs == c and rep.per_residual == (c, 0.0)
+        assert rep.passed == passed and rep.tol == 1e-8 and rep.n_points == 200
+
     def test_non_finite_everywhere_never_passes(self):
         ds = build_system(BROWNIAN, VectorField(phi=p("1e-12*(-x)^(1/2)")), "stochastic")
         with pytest.raises(AnsatzError, match="could not sample"):

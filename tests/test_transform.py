@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdesym.ansatz import Ansatz, sample_points, solve_symmetries
+from sdesym.ansatz import Ansatz, max_residual, sample_points, solve_symmetries
 from sdesym.determining import Sde, VectorField
 from sdesym.expr import diff, parse, simplify
 from sdesym.lie import apply_match, match_basis, structure_constants
@@ -13,7 +13,6 @@ from sdesym.transform import (
     TransformError,
     TransformMap,
     _monotone_mu1,
-    _system_max_residual,
     solve_map,
     transformation_system,
 )
@@ -208,6 +207,32 @@ class TestSolveMap:
         with pytest.raises(NoMapError, match=f"^{refusal}$"):
             solve_map(pairs, (p("1"), p("t")), mu2_basis, params={})
 
+    @pytest.mark.parametrize("c, refused", [(1.1e-8, True), (1.05e-8, False)])
+    def test_reverification_gate_from_both_sides(self, c, refused):
+        # (d/dt, d/ds) and (d/dx, (1 + c*t) d/dy) with mu1 = a0 + a1*t and
+        # mu2 = b0 + b1*x: the rows 1 - a1 and 1 + c*mu1 - b1 leave a1 = 1 up
+        # to O(c^2), and b1 can match c*mu1 only at the mean of the fitted
+        # t.  The map's residual at a fresh point is c*(t - mean t) + O(c^2)
+        pairs = PairedSymmetries.from_tx([
+            (VectorField(tau=p("1")), VectorField(tau=p("1"))),
+            (VectorField(phi=p("1")), VectorField(phi=p(f"1 + {c!r}*t"))),
+        ])
+        fitted = [t for t, _ in sample_points(64, seed=2026)]  # the defaults
+        mean = sum(fitted) / len(fitted)
+        resid = c * max(abs(t - mean) for t, _ in sample_points(32, seed=2027))
+        if refused:
+            assert f"{resid:.3e}" == "1.018e-08"
+            with pytest.raises(NoMapError, match=r"^candidate map fails "
+                               r"re-verification: residual 1\.018e-08$"):
+                solve_map(pairs, (p("1"), p("t")), (p("1"), p("x")), params={})
+            return
+        assert resid < 1e-8
+        tmap = solve_map(pairs, (p("1"), p("t")), (p("1"), p("x")), params={})
+        env = {"t": 0.5, "x": 1.5}
+        assert evaluate(tmap.mu1, env) == pytest.approx(0.5, abs=1e-7)
+        assert evaluate(tmap.mu2, env) == pytest.approx(1.5 * (1 + c * mean),
+                                                        rel=1e-12)
+
     def test_nonlinear_solve_finds_no_map(self):
         # (d/dx, (y^2 + 1) d/dy) needs mu2_x = mu2^2 + 1, so mu2 = tan(x + c):
         # no affine mu2 = a + b x solves (a + b x)^2 + 1 = b
@@ -267,8 +292,9 @@ class TestNonFiniteGates:
         points = sample_points(16, seed=3)
         above = [(t, x) for t, x in points if x > 1.0]
         assert len(above) < len(points)
-        assert _system_max_residual(pairs, tmap, above, {}) < 1e-8
-        assert _system_max_residual(pairs, tmap, points, {}) == np.inf
+        residuals = transformation_system(pairs, tmap.mu1, tmap.mu2).residuals
+        assert max_residual(residuals, above, {}).max_abs < 1e-8
+        assert max_residual(residuals, points, {}).max_abs == np.inf
 
     def test_monotone_mu1(self):
         window = (0.1, 2.0, 0.5, 2.0)
